@@ -5,7 +5,8 @@ from .expressions import DomainError, ParseError, evaluate, parse
 from .grid import (FrameField, FrameSingular, Grid2D, GridError, build_grid,
                    grad_ln_p, identity_frame, make_frame, riemannian_distance,
                    riemannian_gradient, sample_frame, symmetrized_hessian)
-from .operators import (ExponentData, PointJet, energy_functional,
+from .operators import (ExponentData, PointJet, ResidualKernel,
+                        energy_functional,
                         infinity_residual_at, infinity_x_residual_at,
                         infinity_x_residual_field, max_form_residual,
                         min_form_residual, pk_residual_at, sup_extremal)

@@ -172,12 +172,13 @@ def _d_axis(u: np.ndarray, h: float, axis: int) -> np.ndarray:
     error would leave an O(h^2) jump between adjacent nodes that the
     outer stencil amplifies to O(h).
     """
-    u = np.moveaxis(np.asarray(u, dtype=float), axis, 0)
+    u = np.asarray(u, dtype=float).swapaxes(0, axis)
     d = np.empty_like(u)
-    d[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    d[0] = (-4.0 * u[0] + 7.0 * u[1] - 4.0 * u[2] + u[3]) / (2.0 * h)
-    d[-1] = (4.0 * u[-1] - 7.0 * u[-2] + 4.0 * u[-3] - u[-4]) / (2.0 * h)
-    return np.moveaxis(d, 0, axis)
+    h2 = 2.0 * h
+    d[1:-1] = (u[2:] - u[:-2]) / h2
+    d[0] = (-4.0 * u[0] + 7.0 * u[1] - 4.0 * u[2] + u[3]) / h2
+    d[-1] = (4.0 * u[-1] - 7.0 * u[-2] + 4.0 * u[-3] - u[-4]) / h2
+    return d.swapaxes(0, axis)
 
 
 def euclidean_gradient(u: np.ndarray, grid: Grid2D) -> np.ndarray:
@@ -221,14 +222,25 @@ def symmetrized_hessian(u: np.ndarray, frame: FrameField) -> np.ndarray:
     return out
 
 
-def hessian_as_matrix(h: np.ndarray) -> np.ndarray:
-    """Expand packed (M11, M12, M22) storage into full 2x2 matrices."""
-    m = np.empty(h.shape[:-1] + (2, 2))
-    m[..., 0, 0] = h[..., 0]
-    m[..., 0, 1] = h[..., 1]
-    m[..., 1, 0] = h[..., 1]
-    m[..., 1, 1] = h[..., 2]
-    return m
+def hessian_self_weights(frame: FrameField) -> np.ndarray:
+    """d(symmetrized Hessian)_n / d u(n) at every interior node, packed
+    (W11, W12, W22) with shape (ny, nx, 3); boundary entries are 0.
+
+    The Hessian is linear in u, so this is the Hessian of the indicator
+    of n, read at n.  The nested stencils at an interior node, the edge
+    stencils feeding ring 1 included, read u only within Chebyshev
+    distance 2, so nodes 3 apart never share one: the indicator of every
+    stride-3 color gives all its nodes' weights in one evaluation.
+    """
+    ny, nx = frame.grid.shape
+    out = np.zeros((ny, nx, 3))
+    for cj in range(3):
+        for ci in range(3):
+            color = (slice(1 + cj, -1, 3), slice(1 + ci, -1, 3))
+            e = np.zeros((ny, nx))
+            e[color] = 1.0
+            out[color] = symmetrized_hessian(e, frame)[color]
+    return out
 
 
 _NEIGHBOR_OFFSETS = [(-1, -1), (-1, 0), (-1, 1),
@@ -262,8 +274,12 @@ def riemannian_distance(frame: FrameField, grid: Grid2D,
         mid = 0.5 * (a[js, is_] + a[jd, id_])
         det = (mid[..., 0, 0] * mid[..., 1, 1]
                - mid[..., 0, 1] * mid[..., 1, 0])
-        if np.any(np.abs(det) == 0.0):
-            raise FrameSingular(0, 0, grid.xmin, grid.ymin, 0.0)
+        if np.any(det == 0.0):
+            # name the edge's first endpoint and its midpoint determinant
+            bj, bi = np.argwhere(det == 0.0)[0]
+            i, j = int(bi) + is_.start, int(bj) + js.start
+            raise FrameSingular(i, j, grid.xs[i], grid.ys[j],
+                                float(det[bj, bi]))
         dx = di * grid.hx
         dy = dj * grid.hy
         # (M^t)^{-1} (dx, dy) via the adjugate formula

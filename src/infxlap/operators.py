@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .grid import (FrameField, Grid2D, grad_ln_p, hessian_as_matrix,
-                   riemannian_gradient, symmetrized_hessian)
+from .grid import (FrameField, Grid2D, _d_axis, grad_ln_p,
+                   hessian_self_weights, riemannian_gradient)
 
 #: log regularization floor for field residuals (never applied to jets)
 DELTA_LOG = 1e-12
@@ -96,11 +96,69 @@ def pk_residual_at(j: PointJet, e: ExponentData) -> float:
     return -(term1 + term2 + term3)
 
 
-def _field_jets(u, frame: FrameField):
-    g = riemannian_gradient(u, frame)
-    h = symmetrized_hessian(u, frame)
-    n = np.sqrt(g[..., 0] ** 2 + g[..., 1] ** 2)
-    return g, h, n
+class ResidualKernel:
+    """-Delta_{X,infinity(x)} u on interior nodes for one (frame, p).
+
+    The frame entries and D_X ln p are cached as contiguous arrays, and
+    the 2x2 products are written out, so an evaluation is a few dozen
+    small array operations.  The Hessian is the symmetrized nested
+    stencil of :func:`infxlap.grid.symmetrized_hessian`; the logarithm
+    is regularized as ln(max(||D_X u||, delta_log)).
+    """
+
+    def __init__(self, frame: FrameField, p: np.ndarray,
+                 delta_log: float = DELTA_LOG):
+        glnp = grad_ln_p(p, frame)
+        a = frame.a
+        self.frame = frame
+        self.delta_log = delta_log
+        self._a = [np.ascontiguousarray(a[..., i, k])
+                   for i in (0, 1) for k in (0, 1)]
+        self._a_in = [np.ascontiguousarray(c[1:-1, 1:-1]) for c in self._a]
+        self._lnp = [np.ascontiguousarray(glnp[1:-1, 1:-1, c]) for c in (0, 1)]
+        self._w = None
+
+    def jets(self, u: np.ndarray):
+        """Interior residual and the two components of D_X u there."""
+        grid = self.frame.grid
+        a11, a12, a21, a22 = self._a
+        ux = _d_axis(u, grid.hx, axis=1)
+        uy = _d_axis(u, grid.hy, axis=0)
+        g = (a11 * ux + a12 * uy, a21 * ux + a22 * uy)
+        # X_i(g_j) = b_i1 dx g_j + b_i2 dy g_j; interior nodes read only
+        # the central stencil of g
+        gx = [_d_axis(c, grid.hx, axis=1)[1:-1, 1:-1] for c in g]
+        gy = [_d_axis(c, grid.hy, axis=0)[1:-1, 1:-1] for c in g]
+        b11, b12, b21, b22 = self._a_in
+        g1, g2 = g[0][1:-1, 1:-1], g[1][1:-1, 1:-1]
+        h11 = b11 * gx[0] + b12 * gy[0]
+        h12 = 0.5 * ((b11 * gx[1] + b12 * gy[1]) + (b21 * gx[0] + b22 * gy[0]))
+        h22 = b21 * gx[1] + b22 * gy[1]
+        quad = h11 * g1 * g1 + 2.0 * h12 * g1 * g2 + h22 * g2 * g2
+        n2 = g1 * g1 + g2 * g2
+        dot = g1 * self._lnp[0] + g2 * self._lnp[1]
+        log_n = np.log(np.maximum(np.sqrt(n2), self.delta_log))
+        return -(quad + n2 * dot * log_n), g1, g2
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """The residual field, boundary entries 0."""
+        out = np.zeros(self.frame.grid.shape)
+        out[1:-1, 1:-1] = self.jets(u)[0]
+        return out
+
+    def diagonal(self, g1: np.ndarray, g2: np.ndarray,
+                 nodes=(slice(None), slice(None))) -> np.ndarray:
+        """d r_n / d u(n) at the interior ``nodes`` given D_X u there.
+
+        D_X u(n) does not read u(n) and the Hessian is linear in u, so
+        r_n is affine in u(n) with slope -g_n^t W_n g_n, W_n the Hessian
+        self-weight (:func:`infxlap.grid.hessian_self_weights`).
+        """
+        if self._w is None:
+            w = hessian_self_weights(self.frame)[1:-1, 1:-1]
+            self._w = [np.ascontiguousarray(w[..., c]) for c in (0, 1, 2)]
+        w11, w12, w22 = (w[nodes] for w in self._w)
+        return -(w11 * g1 * g1 + 2.0 * w12 * g1 * g2 + w22 * g2 * g2)
 
 
 def infinity_x_residual_field(u: np.ndarray, frame: FrameField,
@@ -109,17 +167,9 @@ def infinity_x_residual_field(u: np.ndarray, frame: FrameField,
     """-Delta_{X,infinity(x)} u on interior nodes (boundary entries 0).
 
     Uses the discrete gradient/Hessian as the jet and regularizes the
-    logarithm as ln(max(||D_X u||, delta_log)).
+    logarithm as ln(max(||D_X u||, delta_log)); see :class:`ResidualKernel`.
     """
-    g, h, n = _field_jets(u, frame)
-    glnp = grad_ln_p(p, frame)
-    hm = hessian_as_matrix(h)
-    quad = np.einsum("...i,...ij,...j->...", g, hm, g)
-    dot = g[..., 0] * glnp[..., 0] + g[..., 1] * glnp[..., 1]
-    res = -(quad + n * n * dot * np.log(np.maximum(n, delta_log)))
-    out = np.zeros_like(res)
-    out[1:-1, 1:-1] = res[1:-1, 1:-1]
-    return out
+    return ResidualKernel(frame, p, delta_log)(u)
 
 
 def gradient_norm_sq_field(u: np.ndarray, frame: FrameField) -> np.ndarray:
@@ -132,10 +182,9 @@ def min_form_residual(u: np.ndarray, frame: FrameField, p: np.ndarray,
     """min{ ||D_X u||^2 - eps, -Delta_{X,infinity(x)} u } (interior)."""
     if eps <= 0:
         raise ValueError("min form needs eps > 0")
-    r = infinity_x_residual_field(u, frame, p)
-    n2 = gradient_norm_sq_field(u, frame)
-    out = np.zeros_like(r)
-    out[1:-1, 1:-1] = np.minimum(n2[1:-1, 1:-1] - eps, r[1:-1, 1:-1])
+    r, g1, g2 = ResidualKernel(frame, p).jets(u)
+    out = np.zeros(frame.grid.shape)
+    out[1:-1, 1:-1] = np.minimum(g1 * g1 + g2 * g2 - eps, r)
     return out
 
 
@@ -144,10 +193,9 @@ def max_form_residual(u: np.ndarray, frame: FrameField, p: np.ndarray,
     """max{ eps - ||D_X u||^2, -Delta_{X,infinity(x)} u } (interior)."""
     if eps <= 0:
         raise ValueError("max form needs eps > 0 (the magnitude of the parameter)")
-    r = infinity_x_residual_field(u, frame, p)
-    n2 = gradient_norm_sq_field(u, frame)
-    out = np.zeros_like(r)
-    out[1:-1, 1:-1] = np.maximum(eps - n2[1:-1, 1:-1], r[1:-1, 1:-1])
+    r, g1, g2 = ResidualKernel(frame, p).jets(u)
+    out = np.zeros(frame.grid.shape)
+    out[1:-1, 1:-1] = np.maximum(eps - (g1 * g1 + g2 * g2), r)
     return out
 
 

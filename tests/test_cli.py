@@ -1,5 +1,8 @@
 """Config loading and command-line round-trip tests on small problems."""
 
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -208,6 +211,19 @@ class TestCliVerify:
     def test_harnack_passes_on_positive_data(self, tmp_path):
         cfg = write_config(tmp_path, n=17, f="1 + x/4 + y/4")
         assert main(["verify", "--config", cfg, "--suite", "harnack"]) == 0
+
+    def test_harnack_inapplicable_when_no_ball_fits(self, tmp_path, capsys):
+        # a frame of 10 I shrinks distances tenfold: every drawn radius-2r
+        # ball reaches the boundary
+        cfg = Path(write_config(tmp_path, n=17, f="1 + x/4 + y/2"))
+        text = cfg.read_text().replace("a11 = 1", "a11 = 10")
+        cfg.write_text(text.replace("a22 = 1", "a22 = 10"))
+        t0 = time.perf_counter()
+        rc = main(["verify", "--config", str(cfg), "--suite", "harnack"])
+        assert time.perf_counter() - t0 < 20.0
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "INAPPLICABLE" in out and "radius 2r" in out
 
     def test_lemma41_passes_on_positive_data(self, tmp_path):
         cfg = write_config(tmp_path, f="1 + x/4 + y/4")

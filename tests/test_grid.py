@@ -184,6 +184,19 @@ class TestDistance:
         assert float(ratio.min()) >= 1.0 - 1e-12
         assert float(ratio.max()) <= 1.083
 
+    def test_singular_edge_named(self):
+        # a11 alternates +1/-1 from x = 1/2 on, so the midpoints of the
+        # edges there are singular while every node has det +-1
+        g = unit_grid(17)
+        fr = sample_frame(parse("cos(16*pi*max(x, 0.5))"), parse("0"),
+                          parse("0"), parse("1"), g)
+        with pytest.raises(FrameSingular) as exc:
+            riemannian_distance(fr, g, (8, 8))
+        i, j = exc.value.node
+        assert (i, j) != (0, 0)
+        assert i in (8, 9)
+        assert exc.value.det == 0.0
+
     def test_triangle_inequality_sampled(self):
         g = unit_grid(9)
         fr = sample_frame(parse("1"), parse("0"), parse("0"),

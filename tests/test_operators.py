@@ -13,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infxlap.expressions import parse
-from infxlap.grid import build_grid, identity_frame, sample_frame
-from infxlap.operators import (ExponentData, PointJet, energy_functional,
+from infxlap.grid import (build_grid, grad_ln_p, identity_frame,
+                          riemannian_gradient, sample_frame,
+                          symmetrized_hessian)
+from infxlap.operators import (ExponentData, PointJet, ResidualKernel,
+                               energy_functional,
                                gradient_norm_sq_field, infinity_residual_at,
                                infinity_x_residual_at,
                                infinity_x_residual_field, max_form_residual,
@@ -144,6 +147,67 @@ class TestResidualField:
                                         np.full(g.shape, 2.0))
         assert np.all(res[0] == 0) and np.all(res[-1] == 0)
         assert np.all(res[:, 0] == 0) and np.all(res[:, -1] == 0)
+
+
+def _variable_problem():
+    """Non-square grid with hx != hy, a full variable frame and exponent,
+    and a smooth field with no flat spots."""
+    g = build_grid(0.0, 1.0, 0.0, 1.5, 13, 11)
+    fr = sample_frame(parse("1 + x/3"), parse("x*y/4"), parse("sin(y)/5"),
+                      parse("1 + x/2"), g)
+    X, Y = g.meshgrid()
+    p = 2.0 + X ** 2 / 4.0 + Y / 3.0
+    u = np.sin(2.0 * X) * np.cos(Y) + 0.7 * X + 0.4 * Y * Y
+    return g, fr, p, u
+
+
+class TestResidualKernel:
+    def test_matches_jets_node_by_node(self):
+        g, fr, p, u = _variable_problem()
+        res = ResidualKernel(fr, p)(u)
+        eta = riemannian_gradient(u, fr)
+        h = symmetrized_hessian(u, fr)
+        glp = grad_ln_p(p, fr)
+        scale = float(np.max(np.abs(res)))
+        for j in range(1, g.ny - 1):
+            for i in range(1, g.nx - 1):
+                jet = _jet(tuple(eta[j, i]), *h[j, i])
+                e = ExponentData(p=p[j, i], grad_ln_p=tuple(glp[j, i]))
+                assert res[j, i] == pytest.approx(
+                    infinity_x_residual_at(jet, e), rel=1e-13,
+                    abs=1e-13 * scale)
+        assert np.all(res[[0, -1], :] == 0) and np.all(res[:, [0, -1]] == 0)
+
+    def test_diagonal_matches_per_node_difference(self):
+        # r_n is affine in u(n), so a unit forward difference is exact up
+        # to rounding; this covers ring 1 and the last interior ring
+        g, fr, p, u = _variable_problem()
+        kernel = ResidualKernel(fr, p)
+        r, g1, g2 = kernel.jets(u)
+        diag = kernel.diagonal(g1, g2)
+        for j in range(1, g.ny - 1):
+            for i in range(1, g.nx - 1):
+                v = u.copy()
+                v[j, i] += 1.0
+                fd = kernel.jets(v)[0][j - 1, i - 1] - r[j - 1, i - 1]
+                assert diag[j - 1, i - 1] == pytest.approx(fd, rel=1e-9)
+
+    def test_diagonal_on_a_node_subset(self):
+        g, fr, p, u = _variable_problem()
+        kernel = ResidualKernel(fr, p)
+        _, g1, g2 = kernel.jets(u)
+        nodes = (slice(1, None, 5), slice(3, None, 5))
+        assert np.array_equal(kernel.diagonal(g1[nodes], g2[nodes], nodes),
+                              kernel.diagonal(g1, g2)[nodes])
+
+    def test_exponent_at_most_one_rejected(self):
+        g, fr, p, u = _variable_problem()
+        p = p.copy()
+        p[4, 6] = 1.0
+        with pytest.raises(ValueError, match=r"p = 1 <= 1 at node \(i=6, j=4\)"):
+            ResidualKernel(fr, p)
+        with pytest.raises(ValueError, match="<= 1"):
+            infinity_x_residual_field(u, fr, p)
 
 
 class TestForms:
