@@ -15,8 +15,7 @@ from . import config as cfgio
 from . import operators, verify
 from .expressions import ExprError
 from .grid import FrameSingular, riemannian_distance
-from .solvers import SolverError, continue_k, harmonic_extension, \
-    solve_dirichlet_infinity, solve_jensen
+from .solvers import SolverError, solve_dirichlet_infinity, solve_jensen
 
 
 def _load(path: str):

@@ -16,8 +16,7 @@ derivatives stays second-order accurate up to the boundary.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +49,10 @@ class Grid2D:
     ny: int
 
     def __post_init__(self):
-        if self.nx < 3 or self.ny < 3:
-            raise GridError(f"need nx, ny >= 3, got nx={self.nx}, ny={self.ny}")
+        if self.nx < 4 or self.ny < 4:
+            # the one-sided edge stencils of _d_axis read four nodes
+            raise GridError(f"need nx, ny >= 4 (edge stencils read four "
+                            f"nodes), got nx={self.nx}, ny={self.ny}")
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise GridError("nonpositive domain extent")
 
@@ -109,11 +110,10 @@ def build_grid(xmin, xmax, ymin, ymax, nx, ny) -> Grid2D:
 
 @dataclass(frozen=True)
 class FrameField:
-    """Per-node frame matrix A with cached inverse-transpose."""
+    """Per-node frame matrix A."""
 
     grid: Grid2D
     a: np.ndarray          # (ny, nx, 2, 2)
-    inv_t: np.ndarray = field(default=None)  # (ny, nx, 2, 2), (A^t)^{-1}
 
     @property
     def det(self) -> np.ndarray:
@@ -125,7 +125,7 @@ class FrameField:
 
 
 def make_frame(grid: Grid2D, a: np.ndarray, det_floor: float = 1e-10) -> FrameField:
-    """Wrap per-node matrices, checking invertibility and caching (A^t)^{-1}."""
+    """Wrap per-node matrices, checking invertibility."""
     a = np.asarray(a, dtype=float)
     if a.shape != (grid.ny, grid.nx, 2, 2):
         raise ValueError(f"frame array must have shape {(grid.ny, grid.nx, 2, 2)}")
@@ -134,13 +134,7 @@ def make_frame(grid: Grid2D, a: np.ndarray, det_floor: float = 1e-10) -> FrameFi
     if np.any(bad):
         j, i = np.argwhere(bad)[0]
         raise FrameSingular(int(i), int(j), grid.xs[i], grid.ys[j], float(det[j, i]))
-    # (A^t)^{-1} = adj(A^t)/det = [[a22, -a21], [-a12, a11]]/det
-    inv_t = np.empty_like(a)
-    inv_t[..., 0, 0] = a[..., 1, 1] / det
-    inv_t[..., 0, 1] = -a[..., 1, 0] / det
-    inv_t[..., 1, 0] = -a[..., 0, 1] / det
-    inv_t[..., 1, 1] = a[..., 0, 0] / det
-    return FrameField(grid=grid, a=a, inv_t=inv_t)
+    return FrameField(grid=grid, a=a)
 
 
 def sample_frame(a11, a12, a21, a22, grid: Grid2D,
@@ -254,16 +248,25 @@ def riemannian_distance(frame: FrameField, grid: Grid2D,
 
     Edge weight between lattice neighbors P, Q is ||(M^t)^{-1}(Q - P)||
     with M the entrywise average of the endpoint frames (edge-midpoint
-    quadrature of curve length).  Computed by Dijkstra on the 8-neighbor
-    graph; ``source`` is given as (i, j) indices.
+    quadrature of curve length).  Each call builds the 8-neighbor graph
+    as one CSR matrix over the flat node index ``j*nx + i`` and solves it
+    with ``scipy.sparse.csgraph.dijkstra``; ``source`` is given as (i, j)
+    indices.
     """
+    # imported here so that runs which never ask for a distance do not
+    # load scipy's csgraph module
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     si, sj = source
     ny, nx = grid.shape
     if not (0 <= si < nx and 0 <= sj < ny):
         raise ValueError(f"source node ({si}, {sj}) outside the grid")
 
-    # Precompute edge weights per direction, vectorized.
-    weights = {}
+    # Edge weights per direction, vectorized, with their flat endpoints.
+    n = grid.n_nodes
+    flat = np.arange(n).reshape(ny, nx)
+    rows, cols, weights = [], [], []
     a = frame.a
     for dj, di in _NEIGHBOR_OFFSETS:
         # slice pairs: node (j, i) -> neighbor (j+dj, i+di)
@@ -285,25 +288,14 @@ def riemannian_distance(frame: FrameField, grid: Grid2D,
         # (M^t)^{-1} (dx, dy) via the adjugate formula
         v0 = (mid[..., 1, 1] * dx - mid[..., 1, 0] * dy) / det
         v1 = (-mid[..., 0, 1] * dx + mid[..., 0, 0] * dy) / det
-        weights[(dj, di)] = np.sqrt(v0 * v0 + v1 * v1)
+        rows.append(flat[js, is_].ravel())
+        cols.append(flat[jd, id_].ravel())
+        weights.append(np.sqrt(v0 * v0 + v1 * v1).ravel())
 
-    dist = np.full(grid.shape, np.inf)
-    dist[sj, si] = 0.0
-    done = np.zeros(grid.shape, dtype=bool)
-    heap = [(0.0, sj, si)]
-    while heap:
-        d, j, i = heapq.heappop(heap)
-        if done[j, i]:
-            continue
-        done[j, i] = True
-        for dj, di in _NEIGHBOR_OFFSETS:
-            j2, i2 = j + dj, i + di
-            if 0 <= j2 < ny and 0 <= i2 < nx and not done[j2, i2]:
-                w = weights[(dj, di)][j - max(0, -dj), i - max(0, -di)]
-                nd = d + w
-                if nd < dist[j2, i2]:
-                    dist[j2, i2] = nd
-                    heapq.heappush(heap, (nd, j2, i2))
+    graph = csr_matrix((np.concatenate(weights),
+                        (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(n, n))
+    dist = dijkstra(graph, indices=sj * nx + si).reshape(ny, nx)
     # rectangles are connected; keep a finite sentinel regardless
     dist[~np.isfinite(dist)] = 1e300
     return dist

@@ -57,7 +57,7 @@ def lipschitz_constant(f: np.ndarray, grid: Grid2D, frame: FrameField,
     nodes = _boundary_nodes(grid)
     if len(nodes) < 2:
         raise ValueError("need at least 2 boundary nodes")
-    stride = max(1, len(nodes) // max_sources)
+    stride = -(-len(nodes) // max_sources)  # ceiling: at most max_sources
     sources = nodes[::stride]
     targets = np.array(nodes)
     best = 0.0

@@ -95,7 +95,7 @@ class TestFieldCsv:
         assert np.array_equal(field, back)
 
     def test_header_and_first_row(self, tmp_path):
-        g = build_grid(0.25, 1.0, 0.5, 1.0, 4, 3)
+        g = build_grid(0.25, 1.0, 0.5, 1.25, 4, 4)
         path = tmp_path / "field.csv"
         cfgio.export_field(np.zeros(g.shape), g, path)
         lines = path.read_text().splitlines()

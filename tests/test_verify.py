@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from infxlap import verify
 from infxlap.grid import build_grid, identity_frame, riemannian_distance
 from infxlap.solvers import ProblemSpec
 from infxlap.verify import (CheckReport, check_comparison,
@@ -37,6 +38,21 @@ class TestLipschitz:
         c1 = lipschitz_constant(X, g, fr)
         c2 = lipschitz_constant(X, g, fr.scaled(2.0))
         assert c2 == pytest.approx(2.0 * c1, rel=1e-12)
+
+    def test_at_most_max_sources(self, monkeypatch):
+        # 124 boundary nodes at 32^2: a floor stride of 1 would source all
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return riemannian_distance(*args)
+
+        monkeypatch.setattr(verify, "riemannian_distance", counting)
+        g = unit_grid(32)
+        X, _ = g.meshgrid()
+        lipschitz_constant(X, g, identity_frame(g), max_sources=64)
+        assert 0 < len(calls) <= 64
+        assert len(set(calls)) == len(calls)
 
 
 class TestComparison:
