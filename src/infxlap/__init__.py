@@ -10,9 +10,9 @@ from .operators import (ExponentData, PointJet, ResidualKernel,
                         infinity_residual_at, infinity_x_residual_at,
                         infinity_x_residual_field, max_form_residual,
                         min_form_residual, pk_residual_at, sup_extremal)
-from .solvers import (LinearSolveError, PicardStall, ProblemSpec,
-                      SolveReport, SolverConfig, SolverError, continue_k,
-                      harmonic_extension, solve_dirichlet_infinity,
+from .solvers import (FactorizationError, LinearSolveError, PicardStall,
+                      ProblemSpec, SolveReport, SolverConfig, SolverError,
+                      continue_k, harmonic_extension, solve_dirichlet_infinity,
                       solve_jensen, solve_linear_weighted, solve_pk)
 from .verify import (CheckReport, check_comparison, check_log_gradient_bound,
                      eikonal_check, harnack_constant, lipschitz_constant,

@@ -7,14 +7,31 @@ from infxlap.expressions import parse
 from infxlap.grid import build_grid, identity_frame, sample_frame
 from infxlap.operators import energy_functional, max_form_residual, \
     sup_extremal
-from infxlap.solvers import (PicardStall, ProblemSpec, SolveReport,
-                             SolverConfig, _assemble_stiffness, continue_k,
+from infxlap import solvers
+from infxlap.solvers import (_DETA, _DXI, FactorizationError, PicardStall,
+                             ProblemSpec, SolveReport, SolverConfig,
+                             SolverError, _frame_metric_pack, _interp_gp,
+                             _InteriorPattern, continue_k,
                              harmonic_extension, solve_dirichlet_infinity,
                              solve_jensen, solve_linear_weighted, solve_pk)
 
 
 def unit_grid(n=17):
     return build_grid(0.0, 1.0, 0.0, 1.0, n, n)
+
+
+def weighted_elements(pattern, frame, w):
+    """Element matrices of u -> -div_X(w D_X u), as the linear solve builds
+    them."""
+    kpack = w[..., None] * _frame_metric_pack(frame)
+    return _interp_gp(kpack, pattern.gidx).reshape(-1, 12) @ pattern.basis
+
+
+def dense_assembly(gidx, ke, n_nodes):
+    """Full matrix with ke[c, (a, b)] added at (gidx[c, a], gidx[c, b])."""
+    mat = np.zeros((n_nodes, n_nodes))
+    np.add.at(mat, (gidx[:, :, None], gidx[:, None, :]), ke.reshape(-1, 4, 4))
+    return mat
 
 
 class TestConfigValidation:
@@ -91,9 +108,11 @@ class TestLinearWeighted:
                           parse("1 + x/2"), g)
         rng = np.random.default_rng(0)
         w = 0.5 + rng.random(size=g.shape)
-        mat = _assemble_stiffness(g, fr, w)
-        u = rng.normal(size=g.n_nodes)
-        v = rng.normal(size=g.n_nodes)
+        pattern = _InteriorPattern(g)
+        ke = weighted_elements(pattern, fr, w)
+        mat = pattern.matrix(pattern.assemble(ke))
+        u = rng.normal(size=pattern.n)
+        v = rng.normal(size=pattern.n)
         lu_v = float((mat @ u) @ v)
         u_lv = float(u @ (mat @ v))
         assert lu_v == pytest.approx(u_lv, rel=1e-10)
@@ -107,6 +126,55 @@ class TestLinearWeighted:
         bmask = g.boundary_mask()
         assert np.min(u) >= np.min(f[bmask]) - 1e-9
         assert np.max(u) <= np.max(f[bmask]) + 1e-9
+
+
+class TestInteriorPattern:
+    @pytest.fixture(params=[(9, 7), (7, 9)], ids=["9x7", "7x9"])
+    def case(self, request):
+        nx, ny = request.param
+        g = build_grid(0.0, 1.0, 0.0, 1.5, nx, ny)
+        fr = sample_frame(parse("1 + x/3"), parse("0.4*y"), parse("-0.3*x"),
+                          parse("1 + y/2"), g)
+        rng = np.random.default_rng(nx)
+        return g, fr, rng, 0.5 + rng.random(size=g.shape)
+
+    def test_element_matrices_match_gauss_sum(self, case):
+        g, fr, _, w = case
+        pattern = _InteriorPattern(g)
+        cq = _interp_gp(w[..., None] * _frame_metric_pack(fr), pattern.gidx)
+        bx, by = _DXI * (2.0 / g.hx), _DETA * (2.0 / g.hy)
+        ref = g.hx * g.hy / 4.0 * (
+            np.einsum("cq,qa,qb->cab", cq[..., 0], bx, bx)
+            + np.einsum("cq,qa,qb->cab", cq[..., 1], bx, by)
+            + np.einsum("cq,qa,qb->cab", cq[..., 1], by, bx)
+            + np.einsum("cq,qa,qb->cab", cq[..., 2], by, by))
+        got = (cq.reshape(-1, 12) @ pattern.basis).reshape(-1, 4, 4)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_block_matches_dense_assembly(self, case):
+        g, fr, rng, w = case
+        pattern = _InteriorPattern(g)
+        inner = g.interior_mask().ravel()
+        # the frame's element matrices are symmetric; random ones are not,
+        # so a row/column swap in the scatter shows
+        for ke in (weighted_elements(pattern, fr, w),
+                   rng.normal(size=(len(pattern.gidx), 16))):
+            ref = dense_assembly(pattern.gidx, ke, g.n_nodes)[inner][:, inner]
+            got = pattern.matrix(pattern.assemble(ke)).toarray()
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref.T)) > 1e-2 * np.max(np.abs(ref))
+
+    def test_lift_matches_boundary_columns(self, case):
+        g, fr, rng, w = case
+        pattern = _InteriorPattern(g)
+        inner = g.interior_mask().ravel()
+        f = rng.normal(size=g.n_nodes)
+        for ke in (weighted_elements(pattern, fr, w),
+                   rng.normal(size=(len(pattern.gidx), 16))):
+            full = dense_assembly(pattern.gidx, ke, g.n_nodes)
+            ref = full[inner][:, ~inner] @ f[~inner]
+            got = pattern.lift(ke, f)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestSolvePk:
@@ -171,6 +239,25 @@ class TestSolvePk:
         assert exc.value.k == 8.0
         assert len(exc.value.history) >= 1
 
+    def test_factorization_failure_named(self, monkeypatch):
+        g = unit_grid(9)
+        fr = identity_frame(g)
+        X, Y = g.meshgrid()
+        spec = ProblemSpec(grid=g, frame=fr, p=np.full(g.shape, 2.0),
+                           f=(X ** 2 + Y ** 2))
+        warm = harmonic_extension(g, fr, spec.f)
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(solvers, "splu", singular)
+        with pytest.raises(FactorizationError) as exc:
+            solve_pk(spec, 8.0, init=warm)
+        assert isinstance(exc.value, SolverError)
+        assert exc.value.k == 8.0
+        assert exc.value.iteration >= 0
+        assert "exactly singular" in str(exc.value)
+
 
 class TestContinuation:
     def test_constant_all_gaps_zero(self):
@@ -202,6 +289,8 @@ class TestContinuation:
         _, report = continue_k(spec)
         text = report.format()
         assert "k=2" in text and "wall_time" in text
+        # the count includes Newton steps, not only Picard sweeps
+        assert " iterations=" in text and "picard" not in text
 
     def test_sup_extremal_improves_along_continuation(self):
         g = build_grid(1.0, 2.0, 1.0, 2.0, 33, 33)
