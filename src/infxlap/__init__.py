@@ -6,14 +6,12 @@ from .grid import (FrameField, FrameSingular, Grid2D, GridError, build_grid,
                    grad_ln_p, identity_frame, make_frame, riemannian_distance,
                    riemannian_gradient, sample_frame, symmetrized_hessian)
 from .operators import (ExponentData, PointJet, ResidualKernel,
-                        energy_functional,
                         infinity_residual_at, infinity_x_residual_at,
                         infinity_x_residual_field, max_form_residual,
                         min_form_residual, pk_residual_at, sup_extremal)
-from .solvers import (FactorizationError, LinearSolveError, PicardStall,
-                      ProblemSpec, SolveReport, SolverConfig, SolverError,
-                      continue_k, harmonic_extension, solve_dirichlet_infinity,
-                      solve_jensen, solve_linear_weighted, solve_pk)
+from .solvers import (FactorizationError, NewtonStall, ProblemSpec,
+                      SolveReport, SolverConfig, SolverError, continue_k,
+                      harmonic_extension, solve_dirichlet_infinity, solve_pk)
 from .verify import (CheckReport, check_comparison, check_log_gradient_bound,
                      eikonal_check, harnack_constant, lipschitz_constant,
                      make_tent_cutoff, uniqueness_probe)

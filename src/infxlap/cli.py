@@ -15,7 +15,7 @@ from . import config as cfgio
 from . import operators, verify
 from .expressions import ExprError
 from .grid import FrameSingular, riemannian_distance
-from .solvers import SolverError, solve_dirichlet_infinity, solve_jensen
+from .solvers import SolverError, continue_k, solve_dirichlet_infinity
 
 
 def _load(path: str):
@@ -43,7 +43,7 @@ def _apply_overrides(spec, args):
 def _run_solve(spec):
     if spec.epsilon == 0.0:
         return solve_dirichlet_infinity(spec)
-    return solve_jensen(spec)
+    return continue_k(spec)
 
 
 def cmd_solve(args) -> int:
@@ -244,12 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already
-        raise exc
+    args = build_parser().parse_args(argv)  # exits 2 on usage errors
     return args.func(args)
 
 

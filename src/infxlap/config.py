@@ -75,10 +75,8 @@ def load_problem(path: str | Path) -> ProblemSpec:
     if cp.has_section("solver"):
         conv = {
             "k_schedule": lambda s: tuple(float(t) for t in s.split(",")),
-            "delta_reg": float, "damping": float, "picard_tol": float,
-            "picard_max_iter": int, "cg_tol": float, "cg_max_iter": int,
-            "continuation_tol": float, "polish_sweeps": int, "p_min": float,
-            "det_floor": float,
+            "delta_reg": float, "continuation_tol": float,
+            "polish_sweeps": int, "p_min": float, "det_floor": float,
         }
         for key in cp.options("solver"):
             if key not in conv:
@@ -102,11 +100,6 @@ def load_problem(path: str | Path) -> ProblemSpec:
         p = grid.sample(p_expr)
     except expressions.DomainError as exc:
         raise ConfigError(f"exponent.p not evaluable: {exc}") from exc
-    if np.any(p < config.p_min):
-        raise ConfigError(
-            f"exponent.p below p_min={config.p_min:g} "
-            f"(min sampled value {float(np.min(p)):g})"
-        )
 
     f_expr = _parse_expr("boundary", "f", _get(cp, "boundary", "f"))
     try:
@@ -121,8 +114,11 @@ def load_problem(path: str | Path) -> ProblemSpec:
         except ValueError as exc:
             raise ConfigError(f"bad value for jensen.epsilon: {exc}") from exc
 
-    return ProblemSpec(grid=grid, frame=frame, p=p, f=f,
-                       epsilon=epsilon, config=config)
+    try:
+        return ProblemSpec(grid=grid, frame=frame, p=p, f=f,
+                           epsilon=epsilon, config=config)
+    except ValueError as exc:
+        raise ConfigError(f"bad problem: {exc}") from exc
 
 
 def export_field(field: np.ndarray, grid: Grid2D, path: str | Path) -> None:

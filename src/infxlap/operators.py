@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .grid import (FrameField, Grid2D, _d_axis, grad_ln_p,
+from .grid import (FrameField, _d_axis, grad_ln_p,
                    hessian_self_weights, riemannian_gradient)
 
 #: log regularization floor for field residuals (never applied to jets)
@@ -197,37 +196,6 @@ def max_form_residual(u: np.ndarray, frame: FrameField, p: np.ndarray,
     out = np.zeros(frame.grid.shape)
     out[1:-1, 1:-1] = np.maximum(eps - (g1 * g1 + g2 * g2), r)
     return out
-
-
-def _trapezoid_weights(grid: Grid2D) -> np.ndarray:
-    wx = np.ones(grid.nx)
-    wx[0] = wx[-1] = 0.5
-    wy = np.ones(grid.ny)
-    wy[0] = wy[-1] = 0.5
-    return np.outer(wy, wx) * grid.hx * grid.hy
-
-
-def energy_functional(u: np.ndarray, frame: FrameField, p: np.ndarray,
-                      k: float, grid: Grid2D | None = None) -> float:
-    """( integral ||D_X u||^{kp(x)} / (kp(x)) dx )^{1/k} by trapezoid rule.
-
-    Falls back to a log-space accumulation when the integrand would
-    overflow double precision (large k).
-    """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    grid = grid or frame.grid
-    g = riemannian_gradient(u, frame)
-    n = np.sqrt(g[..., 0] ** 2 + g[..., 1] ** 2)
-    kp = k * np.asarray(p, dtype=float)
-    w = _trapezoid_weights(grid)
-    with np.errstate(divide="ignore"):
-        logn = np.where(n > 0.0, np.log(np.maximum(n, 1e-300)), -np.inf)
-    logterms = kp * logn - np.log(kp) + np.log(w)
-    if np.max(kp * logn) > 600.0:
-        return float(math.exp(logsumexp(logterms) / k))
-    total = float(np.sum(np.where(n > 0.0, np.exp(logterms), 0.0)))
-    return total ** (1.0 / k)
 
 
 def sup_extremal(u: np.ndarray, frame: FrameField, p: np.ndarray) -> float:

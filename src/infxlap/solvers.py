@@ -1,26 +1,23 @@
 """Existence construction: kp(x)-Laplace solves continued to k -> infinity.
 
 The Dirichlet problem -div_X(||D_X u||^{kp(x)-2} D_X u) = eps^{kp(x)-1}
-is the Euler-Lagrange equation of a convex regularized energy.  It is
-solved by a short lagged-coefficient (Picard) warm-up -- freeze the
-weight w = (delta^2 + ||D_X u||^2)^{(kp(x)-2)/2}, solve the linear
-weighted problem, damp -- followed by Newton iterations with an Armijo
-line search on that energy, which remain convergent at large kp where
-the pure lagged map oscillates.  Increasing k along a schedule with
-warm starts gives the surrogate for the uniform limit u_infinity.
+is the Euler-Lagrange equation of a convex regularized energy, which is
+minimized by Newton's method with an Armijo line search.  Increasing k
+along a schedule with warm starts gives the surrogate for the uniform
+limit u_infinity; the start is the frame-harmonic extension, the
+minimizer of the quadratic energy at kp = 2, which one Newton step finds.
 
-The inner linear problem minimizes the discrete energy
-sum_cells w ||A grad u||^2 over bilinear elements (2x2 Gauss points,
-coefficients interpolated from the nodes), i.e. the discrete divergence
-is the negative adjoint of the discrete cell gradient under the lattice
-inner product.  The resulting operator is symmetric positive definite,
-reproduces linear fields exactly, and (for the unit frame) annihilates
-the harmonic polynomial x^2 - y^2 exactly.  It is solved by a direct
-SuperLU factorization, in symmetric mode, of the equilibrated interior block.
+The energy is evaluated over bilinear elements (2x2 Gauss points,
+coefficients interpolated from the nodes).  Its Hessian is symmetric
+positive definite, reproduces linear fields exactly, and (for the unit
+frame at kp = 2) annihilates the harmonic polynomial x^2 - y^2 exactly.
+Every Newton step is one direct SuperLU factorization, in symmetric mode,
+of the equilibrated interior block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -29,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .grid import FrameField, Grid2D, riemannian_gradient
+from .grid import FrameField, Grid2D
 # infinity_x_residual_field stays importable here: perfbench traces it as
 # solvers.infinity_x_residual_field
 from .operators import ResidualKernel, infinity_x_residual_field  # noqa: F401
@@ -39,16 +36,6 @@ class SolverError(RuntimeError):
     """Inner or outer iteration failed."""
 
 
-class LinearSolveError(SolverError):
-    def __init__(self, iterations: int, residual: float):
-        super().__init__(
-            f"conjugate gradients stalled after {iterations} iterations "
-            f"(relative residual {residual:.3e})"
-        )
-        self.iterations = iterations
-        self.residual = residual
-
-
 class FactorizationError(SolverError):
     def __init__(self, k: float, iteration: int, message: str):
         super().__init__(f"SuperLU could not factor the Newton Hessian at "
@@ -56,10 +43,10 @@ class FactorizationError(SolverError):
         self.k, self.iteration, self.message = k, iteration, message
 
 
-class PicardStall(SolverError):
+class NewtonStall(SolverError):
     def __init__(self, k: float, history: list[float]):
         super().__init__(
-            f"Picard iteration did not converge at k={k:g} "
+            f"Newton iteration did not converge at k={k:g} "
             f"(last update {history[-1]:.3e} after {len(history)} iterations)"
         )
         self.k = k
@@ -68,15 +55,10 @@ class PicardStall(SolverError):
 
 @dataclass
 class SolverConfig:
-    """Tuning knobs for the Picard / continuation machinery."""
+    """Settings of the continuation, the polish and problem validation."""
 
     k_schedule: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
     delta_reg: float = 1e-8        # gradient regularization inside weights
-    damping: float = 0.7           # Picard damping theta in (0, 1]
-    picard_tol: float = 1e-8       # sup-norm update stopping criterion
-    picard_max_iter: int = 500
-    cg_tol: float = 1e-10          # relative residual
-    cg_max_iter: int | None = None  # default 10 * nx * ny
     continuation_tol: float = 1e-4  # sup-norm gap between successive k
     polish_sweeps: int = 50        # pointwise Newton sweeps at eps = 0
     p_min: float = 2.0
@@ -85,9 +67,7 @@ class SolverConfig:
     def __post_init__(self):
         if not all(b > a for a, b in zip(self.k_schedule, self.k_schedule[1:])):
             raise ValueError("k_schedule must be strictly increasing")
-        if not (0 < self.damping <= 1):
-            raise ValueError("damping must lie in (0, 1]")
-        for name in ("delta_reg", "picard_tol", "cg_tol", "continuation_tol"):
+        for name in ("delta_reg", "continuation_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -261,80 +241,10 @@ class _InteriorPattern:
                     options=dict(SymmetricMode=True)), s
 
 
-def _pcg(mat: sp.csc_matrix, b: np.ndarray, x0: np.ndarray,
-         tol: float, max_iter: int, precond) -> tuple[np.ndarray, int, float]:
-    """Preconditioned conjugate gradients; returns (x, iterations, rel res)."""
-    x = x0.copy()
-    r = b - mat @ x
-    bnorm = np.linalg.norm(b) or 1.0
-    z = precond(r)
-    d = z.copy()
-    rz = float(r @ z)
-    res = np.linalg.norm(r) / bnorm
-    it = 0
-    while res > tol and it < max_iter:
-        q = mat @ d
-        alpha = rz / float(d @ q)
-        x += alpha * d
-        r -= alpha * q
-        z = precond(r)
-        rz_new = float(r @ z)
-        d = z + (rz_new / rz) * d
-        rz = rz_new
-        res = np.linalg.norm(r) / bnorm
-        it += 1
-    return x, it, res
-
-
-def solve_linear_weighted(w: np.ndarray, rhs: np.ndarray,
-                          f_boundary: np.ndarray, grid: Grid2D,
-                          frame: FrameField,
-                          config: SolverConfig | None = None,
-                          init: np.ndarray | None = None) -> np.ndarray:
-    """Solve -div_X(w D_X u) = rhs with Dirichlet data f on the boundary.
-
-    ``w`` and ``rhs`` are nodal fields; the load uses lumped (trapezoid)
-    quadrature.  Raises :class:`LinearSolveError` on stall.
-    """
-    config = config or SolverConfig()
-    if np.any(w[1:-1, 1:-1] <= 0.0):
-        raise ValueError("weight must be positive on interior nodes")
-    pattern = _InteriorPattern(grid)
-    interior = pattern.interior
-    kpack = np.asarray(w, dtype=float)[..., None] * _frame_metric_pack(frame)
-    ke = _interp_gp(kpack, pattern.gidx).reshape(-1, 12) @ pattern.basis
-    data = pattern.assemble(ke)
-    f_flat = np.asarray(f_boundary, dtype=float).ravel()
-    load = np.asarray(rhs, dtype=float).ravel() * (grid.hx * grid.hy)
-    b = load[interior] - pattern.lift(ke, f_flat)
-
-    max_iter = config.cg_max_iter or 10 * grid.n_nodes
-    # complete sparse factorization as the preconditioner: the weight
-    # contrast reaches ~1e16 near k = 64, where incomplete/diagonal
-    # preconditioning stalls; desk-scale grids keep the LU cheap
-    try:
-        lu, s = pattern.factor(data)
-        precond = lambda v: s * lu.solve(s * v)
-    except RuntimeError:
-        diag = data[pattern.diag]
-        precond = lambda v: v / diag
-    x0 = (np.asarray(init, dtype=float).ravel()[interior]
-          if init is not None else np.zeros(pattern.n))
-    x, iters, res = _pcg(pattern.matrix(data), b, x0, config.cg_tol, max_iter,
-                         precond)
-    if res > config.cg_tol:
-        raise LinearSolveError(iters, res)
-
-    u = f_flat.copy()
-    u[interior] = x
-    return u.reshape(grid.shape)
-
-
-def harmonic_extension(grid: Grid2D, frame: FrameField, f: np.ndarray,
-                       config: SolverConfig | None = None) -> np.ndarray:
-    """Discrete frame-harmonic extension of the boundary data (w = 1)."""
-    return solve_linear_weighted(np.ones(grid.shape), np.zeros(grid.shape),
-                                 f, grid, frame, config)
+@functools.lru_cache(maxsize=1)
+def _interior_pattern(grid: Grid2D) -> _InteriorPattern:
+    """The grid's pattern, built once while the same grid is solved on."""
+    return _InteriorPattern(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -342,26 +252,6 @@ def harmonic_extension(grid: Grid2D, frame: FrameField, f: np.ndarray,
 # ---------------------------------------------------------------------------
 
 _EXP_LIMIT = 700.0  # exponent guard after normalization (double overflow)
-
-
-def _picard_weight(u: np.ndarray, frame: FrameField, kp: np.ndarray,
-                   delta: float) -> tuple[np.ndarray, float]:
-    """Normalized weight (delta^2 + ||D_X u||^2)^{(kp-2)/2} / W and log W.
-
-    Computed in log space; raises if the normalized exponent leaves
-    [-700, 700] (weight would over/underflow double precision).
-    """
-    g = riemannian_gradient(u, frame)
-    n2 = delta * delta + g[..., 0] ** 2 + g[..., 1] ** 2
-    logw = 0.5 * (kp - 2.0) * np.log(n2)
-    logw_max = float(np.max(logw[1:-1, 1:-1]))
-    logw = logw - logw_max
-    if float(np.min(logw)) < -_EXP_LIMIT:
-        raise SolverError(
-            "weight dynamic range exceeds e^700 after normalization; "
-            "the gradient is too degenerate for this k"
-        )
-    return np.exp(logw), logw_max
 
 
 def _jensen_rhs(eps: float, kp: np.ndarray, logw_max: float) -> np.ndarray:
@@ -380,7 +270,7 @@ class _EnergyModel:
     J(u) = sum_cells sum_gp detJ (delta^2 + ||A grad u||^2)^{kp/2} / kp
            - sum_interior eps^{kp-1} u h_x h_y,
 
-    whose Euler-Lagrange equation is the lagged problem's fixed point.
+    whose Euler-Lagrange equation is the kp(x)-Laplace problem above.
     Every quantity is normalized by exp(log_scale) in log space so that
     k = 64 stays inside double precision; the scale is frozen across one
     line search, which leaves Armijo comparisons exact.
@@ -389,7 +279,7 @@ class _EnergyModel:
     def __init__(self, spec: ProblemSpec, k: float):
         grid = spec.grid
         self.grid = grid
-        pat = self.pattern = _InteriorPattern(grid)
+        pat = self.pattern = _interior_pattern(grid)
         self.gidx, self.interior = pat.gidx, pat.interior
         self.bx, self.by, self.detj = pat.bx, pat.by, pat.detj
         self.tq = _interp_gp(_frame_metric_pack(spec.frame), self.gidx)
@@ -470,90 +360,87 @@ class _EnergyModel:
         return self.pattern.assemble(cq.reshape(-1, 12) @ self.pattern.basis)
 
 
+_NEWTON_TOL = 1e-8        # sup-norm update that ends the iteration
+_NEWTON_MAX_ITER = 500
+
+
+def _newton_direction(model: _EnergyModel, u: np.ndarray, logs: float,
+                      k: float, iteration: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interior energy gradient and the Newton direction at u."""
+    grad = model.gradient(u, logs)[model.interior]
+    try:
+        lu, s = model.pattern.factor(model.hessian(u, logs))
+    except RuntimeError as exc:
+        raise FactorizationError(k, iteration, str(exc)) from exc
+    return grad, s * lu.solve(s * -grad)
+
+
+def harmonic_extension(grid: Grid2D, frame: FrameField,
+                       f: np.ndarray) -> np.ndarray:
+    """Discrete frame-harmonic extension of the boundary values of f.
+
+    The kp = 2 energy is quadratic, so one Newton step from f with its
+    interior zeroed (only the boundary of f need be finite) minimizes it.
+    """
+    u = np.where(grid.interior_mask(), 0.0, np.asarray(f, dtype=float))
+    model = _EnergyModel(ProblemSpec(grid=grid, frame=frame, f=u,
+                                     p=np.full(grid.shape, 2.0)), 1.0)
+    _, d = _newton_direction(model, u, model.log_scale(u), 1.0, 0)
+    u.ravel()[model.interior] += d
+    return u
+
+
 def solve_pk(spec: ProblemSpec, k: float,
-             init: np.ndarray | None = None,
-             damping: float | None = None) -> tuple[np.ndarray, PkStats]:
+             init: np.ndarray | None = None) -> tuple[np.ndarray, PkStats]:
     """Solve -Delta_{X,kp(x)} u = eps^{kp(x)-1}, u = f on the boundary.
 
-    A couple of damped lagged-coefficient (Picard) sweeps warm up the
-    iterate while they keep lowering the regularized energy; Newton with
-    an Armijo line search on that convex energy then takes over, which
-    stays convergent where the pure lagged map starts to oscillate
-    (kp beyond about 16).  Weight, load, and Hessian are jointly
-    normalized in log space so k = 64 fits in double precision.
+    Newton with an Armijo line search on the convex regularized energy,
+    from ``init`` or the harmonic extension of f.  Energy, gradient and
+    Hessian are jointly normalized in log space so k = 64 fits in double
+    precision.  Each iteration factors the Hessian once; the iteration
+    ends when an update falls below ``_NEWTON_TOL`` or the predicted
+    decrease reaches rounding in the energy, and raises
+    :class:`NewtonStall` after ``_NEWTON_MAX_ITER`` iterations or a
+    failed line search.
     """
-    cfg = spec.config
-    theta = damping if damping is not None else cfg.damping
-    kp = k * np.asarray(spec.p, dtype=float)
     u = (np.asarray(init, dtype=float).copy() if init is not None
-         else harmonic_extension(spec.grid, spec.frame, spec.f, cfg))
+         else harmonic_extension(spec.grid, spec.frame, spec.f))
     model = _EnergyModel(spec, k)
     interior = model.interior
     history: list[float] = []
-    converged = False
-
-    # Picard warm-up: accepted only while the energy goes down
-    for _ in range(min(2, cfg.picard_max_iter)):
-        try:
-            w, logw_max = _picard_weight(u, spec.frame, kp, cfg.delta_reg)
-            rhs = _jensen_rhs(spec.epsilon, kp, logw_max)
-            u_tilde = solve_linear_weighted(w, rhs, spec.f, spec.grid,
-                                            spec.frame, cfg, init=u)
-        except SolverError:
-            break
-        u_new = (1.0 - theta) * u + theta * u_tilde
+    while True:
+        if len(history) >= _NEWTON_MAX_ITER:
+            raise NewtonStall(k, history)
         logs = model.log_scale(u)
-        if not model.energy(u_new, logs) < model.energy(u, logs):
-            break
-        update = float(np.max(np.abs(u_new - u)))
-        history.append(update)
-        u = u_new
-        if update < cfg.picard_tol:
-            converged = True
-            break
-
-    while not converged and len(history) < cfg.picard_max_iter:
-        logs = model.log_scale(u)
-        rhs_i = model.gradient(u, logs)[interior]
-        try:
-            lu, s = model.pattern.factor(model.hessian(u, logs))
-        except RuntimeError as exc:
-            raise FactorizationError(k, len(history), str(exc)) from exc
-        d = s * lu.solve(s * (-rhs_i))
-        slope = float(rhs_i @ d)
+        grad, d = _newton_direction(model, u, logs, k, len(history))
+        slope = float(grad @ d)
         if not slope < 0.0:
             # numerically indefinite step; fall back to steepest descent
-            d = -rhs_i
-            slope = -float(rhs_i @ rhs_i)
+            d = -grad
+            slope = -float(grad @ grad)
         phi0 = model.energy(u, logs)
         # once the predicted decrease falls below rounding in the energy,
-        # further steps only amplify noise through the near-singular
-        # directions of the weight; the minimizer is resolved
-        if -slope <= 16.0 * np.finfo(float).eps * max(abs(phi0), 1e-300):
-            converged = True
-            break
+        # the line search cannot tell the full step from noise: take it
+        # and stop, the minimizer is resolved
+        floor = -slope <= 16.0 * np.finfo(float).eps * max(abs(phi0), 1e-300)
         # keep the first trial step commensurate with the data scale; the
         # full Newton step is always tried once |d| is moderate
         step_cap = 10.0 * max(1.0, float(np.ptp(u)))
         dmax = float(np.max(np.abs(d)))
-        alpha = min(1.0, step_cap / dmax) if dmax > 0 else 1.0
-        u_try = u
+        alpha = 1.0 if floor or dmax == 0 else min(1.0, step_cap / dmax)
         for _ in range(60):
             u_try = u.copy()
-            flat = u_try.ravel()
-            flat[interior] += alpha * d
-            if model.energy(u_try, logs) <= phi0 + 1e-4 * alpha * slope:
+            u_try.ravel()[interior] += alpha * d
+            if floor or (model.energy(u_try, logs)
+                         <= phi0 + 1e-4 * alpha * slope):
                 break
             alpha *= 0.5
         else:
-            raise PicardStall(k, history + [alpha * float(np.max(np.abs(d)))])
-        update = alpha * float(np.max(np.abs(d)))
-        history.append(update)
+            raise NewtonStall(k, history + [alpha * dmax])
+        history.append(alpha * dmax)
         u = u_try
-        if update < cfg.picard_tol:
-            converged = True
-    if not converged:
-        raise PicardStall(k, history)
+        if floor or history[-1] < _NEWTON_TOL:
+            break
 
     # weak residual of the final iterate in the normalized energy gradient
     logs = model.log_scale(u)
@@ -561,16 +448,19 @@ def solve_pk(spec: ProblemSpec, k: float,
     scale = np.linalg.norm(model.load(logs)[interior])
     weak = float(np.linalg.norm(resid) / (scale if scale > 0 else 1.0))
     return u, PkStats(k=k, iterations=len(history),
-                      final_update=history[-1] if history else 0.0,
-                      weak_residual=weak)
+                      final_update=history[-1], weak_residual=weak)
 
 
 def continue_k(spec: ProblemSpec,
                init: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Warm-started continuation along the k schedule.
 
-    On a Picard stall the failing k is retried twice with halved damping
-    before the failure (tagged with k) is propagated.
+    Each k starts Newton from the previous minimizer (the first from
+    ``init`` or the harmonic extension).  The continuation stops early
+    once successive minimizers differ by less than ``continuation_tol``.
+    With eps != 0 it solves the Jensen auxiliary equation: eps > 0
+    targets the min form, eps < 0 the max form.  A Newton failure
+    propagates, tagged with its k.
     """
     cfg = spec.config
     if not cfg.k_schedule:
@@ -578,40 +468,19 @@ def continue_k(spec: ProblemSpec,
     t0 = time.perf_counter()
     report = SolveReport()
     u = (np.asarray(init, dtype=float).copy() if init is not None
-         else harmonic_extension(spec.grid, spec.frame, spec.f, cfg))
+         else harmonic_extension(spec.grid, spec.frame, spec.f))
     prev = None
     for k in cfg.k_schedule:
-        theta = cfg.damping
-        for attempt in range(3):
-            try:
-                u_new, stats = solve_pk(spec, k, init=u, damping=theta)
-                break
-            except PicardStall:
-                if attempt == 2:
-                    raise
-                theta *= 0.5
+        u, stats = solve_pk(spec, k, init=u)
         report.per_k.append(stats)
         if prev is not None:
-            gap = float(np.max(np.abs(u_new - prev)))
+            gap = float(np.max(np.abs(u - prev)))
             report.gaps.append(gap)
             if gap < cfg.continuation_tol:
-                u = u_new
                 break
-        prev = u_new
-        u = u_new
+        prev = u
     report.wall_time = time.perf_counter() - t0
     return u, report
-
-
-def solve_jensen(spec: ProblemSpec,
-                 init: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Jensen auxiliary solve: continuation with signed rhs eps^{kp(x)-1}.
-
-    eps > 0 targets the min-form equation, eps < 0 the max-form (odd
-    powers keep the sign), eps = 0 the plain variable-exponent
-    infinity-Laplace equation.
-    """
-    return continue_k(spec, init=init)
 
 
 def _polish_newton(u0: np.ndarray, frame: FrameField, p: np.ndarray,
@@ -677,7 +546,7 @@ def solve_dirichlet_infinity(spec: ProblemSpec,
     if spec.epsilon != 0.0:
         raise ValueError("solve_dirichlet_infinity requires epsilon = 0")
     t0 = time.perf_counter()
-    u, report = solve_jensen(spec, init=init)
+    u, report = continue_k(spec, init=init)
     if spec.config.polish_sweeps > 0:
         u, r0, r1, ok = _polish_newton(u, spec.frame, spec.p,
                                        spec.config.polish_sweeps)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .grid import FrameField, Grid2D, grad_ln_p, riemannian_distance, \
     riemannian_gradient
-from .solvers import ProblemSpec, harmonic_extension, \
-    solve_dirichlet_infinity, solve_jensen
+from .solvers import ProblemSpec, continue_k, harmonic_extension, \
+    solve_dirichlet_infinity
 
 
 @dataclass
@@ -186,7 +186,7 @@ def uniqueness_probe(spec: ProblemSpec, n_inits: int = 3,
     sy = (Y - grid.ymin) / (grid.ymax - grid.ymin)
     bump_shape = np.sin(np.pi * sx) * np.sin(np.pi * sy)
 
-    inits = [harmonic_extension(grid, frame, f, spec.config)]
+    inits = [harmonic_extension(grid, frame, f)]
     if n_inits >= 2:
         const = np.full(grid.shape, float(np.mean(f[bmask])))
         const[bmask] = f[bmask]
@@ -197,7 +197,7 @@ def uniqueness_probe(spec: ProblemSpec, n_inits: int = 3,
         amp = 0.1 * scale * (1.0 + rng.random())
         inits.append(base + amp * bump_shape)
 
-    solve = solve_dirichlet_infinity if spec.epsilon == 0.0 else solve_jensen
+    solve = solve_dirichlet_infinity if spec.epsilon == 0.0 else continue_k
     solutions = [solve(spec, init=w)[0] for w in inits]
     worst = 0.0
     for i in range(len(solutions)):

@@ -83,6 +83,16 @@ class TestConfigLoading:
         with pytest.raises(cfgio.ConfigError, match="solver.turbo"):
             cfgio.load_problem(write_config(tmp_path, extra=extra))
 
+    @pytest.mark.parametrize("key", ["damping", "picard_tol",
+                                     "picard_max_iter", "cg_tol",
+                                     "cg_max_iter"])
+    def test_removed_solver_key(self, tmp_path, key):
+        # settings of the lagged-coefficient warm-up and the CG solve,
+        # which Newton replaced
+        extra = f"\n[solver]\n{key} = 1\n"
+        with pytest.raises(cfgio.ConfigError, match=f"solver.{key}"):
+            cfgio.load_problem(write_config(tmp_path, extra=extra))
+
 
 class TestFieldCsv:
     def test_roundtrip_bitwise(self, tmp_path):

@@ -17,7 +17,6 @@ from infxlap.grid import (build_grid, grad_ln_p, identity_frame,
                           riemannian_gradient, sample_frame,
                           symmetrized_hessian)
 from infxlap.operators import (ExponentData, PointJet, ResidualKernel,
-                               energy_functional,
                                gradient_norm_sq_field, infinity_residual_at,
                                infinity_x_residual_at,
                                infinity_x_residual_field, max_form_residual,
@@ -244,60 +243,6 @@ class TestForms:
             min_form_residual(u, fr, p, 0.0)
         with pytest.raises(ValueError):
             max_form_residual(u, fr, p, -1.0)
-
-
-class TestEnergy:
-    def test_constant_zero(self):
-        g = unit_grid()
-        fr = identity_frame(g)
-        p = np.full(g.shape, 2.0)
-        assert energy_functional(np.full(g.shape, 3.0), fr, p, 1.0) == 0.0
-
-    def test_plane_k1(self):
-        # integrand |Du|^2/2 = 1/2 constant on the unit square
-        g = unit_grid(17)
-        fr = identity_frame(g)
-        X, _ = g.meshgrid()
-        p = np.full(g.shape, 2.0)
-        assert energy_functional(X, fr, p, 1.0) == pytest.approx(0.5,
-                                                                 abs=1e-12)
-
-    def test_plane_k2(self):
-        # (integral |Du|^4/4)^(1/2) = (1/4)^(1/2) = 0.5
-        g = unit_grid(17)
-        fr = identity_frame(g)
-        X, _ = g.meshgrid()
-        p = np.full(g.shape, 2.0)
-        assert energy_functional(X, fr, p, 2.0) == pytest.approx(0.5,
-                                                                 abs=1e-12)
-
-    def test_shift_invariance(self):
-        # invariant up to rounding in the difference stencils
-        g = unit_grid()
-        fr = identity_frame(g)
-        rng = np.random.default_rng(4)
-        u = rng.normal(size=g.shape)
-        p = 2.0 + rng.random(size=g.shape)
-        a = energy_functional(u, fr, p, 3.0)
-        b = energy_functional(u + 17.25, fr, p, 3.0)
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_large_k_log_space(self):
-        g = unit_grid()
-        fr = identity_frame(g)
-        X, _ = g.meshgrid()
-        p = np.full(g.shape, 2.0)
-        val = energy_functional(5.0 * X, fr, p, 400.0)
-        # (integral 5^800/800)^(1/400) -> 25 * (1/800)^(1/400)
-        expect = 25.0 * (1.0 / 800.0) ** (1.0 / 400.0)
-        assert val == pytest.approx(expect, rel=1e-6)
-
-    def test_k_validation(self):
-        g = unit_grid()
-        fr = identity_frame(g)
-        with pytest.raises(ValueError):
-            energy_functional(np.zeros(g.shape), fr,
-                              np.full(g.shape, 2.0), 0.5)
 
 
 class TestSupExtremal:

@@ -1,19 +1,18 @@
-"""Inner linear solve, nonlinear iteration, and continuation tests."""
+"""Harmonic extension, Newton iteration, and continuation tests."""
 
 import numpy as np
 import pytest
 
 from infxlap.expressions import parse
 from infxlap.grid import build_grid, identity_frame, sample_frame
-from infxlap.operators import energy_functional, max_form_residual, \
-    sup_extremal
+from infxlap.operators import max_form_residual, sup_extremal
 from infxlap import solvers
-from infxlap.solvers import (_DETA, _DXI, FactorizationError, PicardStall,
+from infxlap.solvers import (_DETA, _DXI, FactorizationError, NewtonStall,
                              ProblemSpec, SolveReport, SolverConfig,
-                             SolverError, _frame_metric_pack, _interp_gp,
-                             _InteriorPattern, continue_k,
+                             SolverError, _EnergyModel, _frame_metric_pack,
+                             _interp_gp, _InteriorPattern, continue_k,
                              harmonic_extension, solve_dirichlet_infinity,
-                             solve_jensen, solve_linear_weighted, solve_pk)
+                             solve_pk)
 
 
 def unit_grid(n=17):
@@ -21,8 +20,7 @@ def unit_grid(n=17):
 
 
 def weighted_elements(pattern, frame, w):
-    """Element matrices of u -> -div_X(w D_X u), as the linear solve builds
-    them."""
+    """Element matrices of u -> -div_X(w D_X u) on the pattern's basis."""
     kpack = w[..., None] * _frame_metric_pack(frame)
     return _interp_gp(kpack, pattern.gidx).reshape(-1, 12) @ pattern.basis
 
@@ -42,15 +40,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(k_schedule=(4.0, 2.0))
 
-    def test_damping_range(self):
-        with pytest.raises(ValueError):
-            SolverConfig(damping=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(damping=1.5)
-
     def test_positive_tolerances(self):
         with pytest.raises(ValueError):
-            SolverConfig(picard_tol=-1e-8)
+            SolverConfig(delta_reg=-1e-8)
+        with pytest.raises(ValueError):
+            SolverConfig(continuation_tol=0.0)
 
     def test_spec_rejects_small_p(self):
         g = unit_grid(5)
@@ -68,20 +62,20 @@ class TestConfigValidation:
 
 
 class TestLinearWeighted:
+    """The w = 1 problem (the harmonic extension) and the symmetry of the
+    weighted operator."""
+
     def test_linear_data_exact(self):
         g = unit_grid()
         fr = identity_frame(g)
         X, _ = g.meshgrid()
-        u = solve_linear_weighted(np.ones(g.shape), np.zeros(g.shape), X,
-                                  g, fr)
+        u = harmonic_extension(g, fr, X)
         assert np.max(np.abs(u - X)) < 1e-8
 
     def test_constant_data(self):
         g = unit_grid()
         fr = identity_frame(g)
-        f = np.full(g.shape, 2.5)
-        u = solve_linear_weighted(np.ones(g.shape), np.zeros(g.shape), f,
-                                  g, fr)
+        u = harmonic_extension(g, fr, np.full(g.shape, 2.5))
         assert np.max(np.abs(u - 2.5)) < 1e-10
 
     def test_harmonic_polynomial(self):
@@ -89,18 +83,22 @@ class TestLinearWeighted:
         fr = identity_frame(g)
         X, Y = g.meshgrid()
         f = X ** 2 - Y ** 2
-        u = solve_linear_weighted(np.ones(g.shape), np.zeros(g.shape), f,
-                                  g, fr)
+        u = harmonic_extension(g, fr, f)
         assert np.max(np.abs(u - f)) < 1e-6
 
-    def test_rejects_nonpositive_weight(self):
-        g = unit_grid(5)
-        fr = identity_frame(g)
-        w = np.ones(g.shape)
-        w[2, 2] = 0.0
-        with pytest.raises(ValueError):
-            solve_linear_weighted(w, np.zeros(g.shape), np.zeros(g.shape),
-                                  g, fr)
+    def test_nan_interior_ignored(self):
+        # only the boundary of f is read; the Newton step starts from an
+        # interior of zeros
+        g = unit_grid(9)
+        fr = sample_frame(parse("1"), parse("0"), parse("0"),
+                          parse("1 + x/2"), g)
+        X, Y = g.meshgrid()
+        f = 1.0 + X / 4.0 + Y * Y
+        bmask = g.boundary_mask()
+        u = harmonic_extension(g, fr, np.where(bmask, f, np.nan))
+        assert np.all(np.isfinite(u))
+        assert np.array_equal(u[bmask], f[bmask])
+        assert np.max(np.abs(u - harmonic_extension(g, fr, f))) < 1e-13
 
     def test_operator_symmetry(self):
         g = unit_grid(9)
@@ -176,6 +174,24 @@ class TestInteriorPattern:
             got = pattern.lift(ke, f)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def test_built_once_per_continuation(self, monkeypatch):
+        builds = []
+
+        class Counting(_InteriorPattern):
+            def __init__(self, grid):
+                builds.append(grid)
+                super().__init__(grid)
+
+        monkeypatch.setattr(solvers, "_InteriorPattern", Counting)
+        solvers._interior_pattern.cache_clear()
+        g = unit_grid(9)
+        X, Y = g.meshgrid()
+        spec = ProblemSpec(grid=g, frame=identity_frame(g), p=2.0 + X ** 2,
+                           f=X + Y ** 2)
+        _, report = continue_k(spec)
+        assert len(report.per_k) > 1
+        assert builds == [g]
+
 
 class TestSolvePk:
     def test_constant_data_immediate(self):
@@ -219,23 +235,28 @@ class TestSolvePk:
         k = 2.0
         warm = harmonic_extension(g, fr, f)
         u, _ = solve_pk(spec, k, init=warm)
-        e_sol = energy_functional(u, fr, p, k)
-        assert e_sol <= energy_functional(warm, fr, p, k) + 1e-6
+        # the energy Newton minimizes, at one frozen normalization
+        model = _EnergyModel(spec, k)
+        logs = model.log_scale(u)
+        e_sol = model.energy(u, logs)
+        assert e_sol <= model.energy(warm, logs)
         bump = np.sin(np.pi * X) * np.sin(np.pi * Y)
         rng = np.random.default_rng(6)
         for _ in range(10):
             pert = u + 0.1 * float(rng.uniform(0.5, 1.5)) * bump
-            assert e_sol <= energy_functional(pert, fr, p, k) + 1e-6
+            assert e_sol <= model.energy(pert, logs)
 
-    def test_stall_reported_with_history(self):
+    def test_stall_reported_with_history(self, monkeypatch):
         g = unit_grid(9)
         fr = identity_frame(g)
         X, Y = g.meshgrid()
-        cfg = SolverConfig(picard_max_iter=1, picard_tol=1e-14)
         spec = ProblemSpec(grid=g, frame=fr, p=np.full(g.shape, 2.0),
-                           f=(X ** 2 + Y ** 2), config=cfg)
-        with pytest.raises(PicardStall) as exc:
+                           f=(X ** 2 + Y ** 2))
+        monkeypatch.setattr(solvers, "_NEWTON_MAX_ITER", 1)
+        monkeypatch.setattr(solvers, "_NEWTON_TOL", 1e-14)
+        with pytest.raises(NewtonStall) as exc:
             solve_pk(spec, 8.0)
+        assert isinstance(exc.value, SolverError)
         assert exc.value.k == 8.0
         assert len(exc.value.history) >= 1
 
@@ -289,7 +310,6 @@ class TestContinuation:
         _, report = continue_k(spec)
         text = report.format()
         assert "k=2" in text and "wall_time" in text
-        # the count includes Newton steps, not only Picard sweeps
         assert " iterations=" in text and "picard" not in text
 
     def test_sup_extremal_improves_along_continuation(self):
@@ -306,16 +326,6 @@ class TestContinuation:
 
 
 class TestJensen:
-    def test_eps_zero_same_as_continuation(self):
-        g = unit_grid(9)
-        fr = identity_frame(g)
-        X, _ = g.meshgrid()
-        spec = ProblemSpec(grid=g, frame=fr, p=np.full(g.shape, 2.0),
-                           f=X.copy(), epsilon=0.0)
-        u1, _ = continue_k(spec)
-        u2, _ = solve_jensen(spec)
-        assert np.array_equal(u1, u2)
-
     def test_max_form_mirror(self):
         # eps = -1 with f = -x: the max-form residual of the output is small
         g = build_grid(0.0, 1.0, 0.0, 1.0, 33, 33)
@@ -324,7 +334,7 @@ class TestJensen:
         p = np.full(g.shape, 2.0)
         spec = ProblemSpec(grid=g, frame=fr, p=p, f=(-X).copy(),
                            epsilon=-1.0)
-        u, _ = solve_jensen(spec)
+        u, _ = continue_k(spec)
         res = max_form_residual(u, fr, p, 1.0)
         assert np.max(np.abs(res[1:-1, 1:-1])) <= 5e-2
 
