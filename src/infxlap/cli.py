@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +28,6 @@ def _load(path: str):
 
 
 def _apply_overrides(spec, args):
-    from dataclasses import replace
     if getattr(args, "epsilon", None) is not None:
         spec = replace(spec, epsilon=args.epsilon)
     if getattr(args, "k_max", None) is not None:
@@ -47,13 +47,16 @@ def _run_solve(spec):
 
 
 def cmd_solve(args) -> int:
+    """``solve`` exports the field and prints the report; ``report``,
+    which has no ``--out``, only prints it."""
     spec = _apply_overrides(_load(args.config), args)
     try:
         u, report = _run_solve(spec)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    cfgio.export_field(u, spec.grid, args.out)
+    if getattr(args, "out", None) is not None:
+        cfgio.export_field(u, spec.grid, args.out)
     print(report.format())
     return 0
 
@@ -94,7 +97,6 @@ def cmd_distance(args) -> int:
 
 def _verify_comparison(spec) -> verify.CheckReport:
     u, _ = _run_solve(spec)
-    from dataclasses import replace
     raised = replace(spec, f=spec.f + 0.1)
     v, _ = _run_solve(raised)
     return verify.check_comparison(u, v, spec.grid, tol=1e-6)
@@ -191,17 +193,6 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_report(args) -> int:
-    spec = _apply_overrides(_load(args.config), args)
-    try:
-        _, report = _run_solve(spec)
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 1
-    print(report.format())
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="infxlap",
@@ -239,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--k-max", type=float, default=None, dest="k_max")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_solve)
     return ap
 
 

@@ -88,7 +88,8 @@ def load_problem(path: str | Path) -> ProblemSpec:
     try:
         config = SolverConfig(**cfg_kwargs)
     except ValueError as exc:
-        raise ConfigError(f"bad solver config: {exc}") from exc
+        # every SolverConfig message starts with the field's name
+        raise ConfigError(f"bad solver config: solver.{exc}") from exc
 
     exprs = {key: _parse_expr("frame", key, _get(cp, "frame", key))
              for key in ("a11", "a12", "a21", "a22")}

@@ -216,27 +216,6 @@ def symmetrized_hessian(u: np.ndarray, frame: FrameField) -> np.ndarray:
     return out
 
 
-def hessian_self_weights(frame: FrameField) -> np.ndarray:
-    """d(symmetrized Hessian)_n / d u(n) at every interior node, packed
-    (W11, W12, W22) with shape (ny, nx, 3); boundary entries are 0.
-
-    The Hessian is linear in u, so this is the Hessian of the indicator
-    of n, read at n.  The nested stencils at an interior node, the edge
-    stencils feeding ring 1 included, read u only within Chebyshev
-    distance 2, so nodes 3 apart never share one: the indicator of every
-    stride-3 color gives all its nodes' weights in one evaluation.
-    """
-    ny, nx = frame.grid.shape
-    out = np.zeros((ny, nx, 3))
-    for cj in range(3):
-        for ci in range(3):
-            color = (slice(1 + cj, -1, 3), slice(1 + ci, -1, 3))
-            e = np.zeros((ny, nx))
-            e[color] = 1.0
-            out[color] = symmetrized_hessian(e, frame)[color]
-    return out
-
-
 _NEIGHBOR_OFFSETS = [(-1, -1), (-1, 0), (-1, 1),
                      (0, -1), (0, 1),
                      (1, -1), (1, 0), (1, 1)]

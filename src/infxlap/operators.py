@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .grid import (FrameField, _d_axis, grad_ln_p,
-                   hessian_self_weights, riemannian_gradient)
+from .grid import FrameField, _d_axis, grad_ln_p, riemannian_gradient
 
 #: log regularization floor for field residuals (never applied to jets)
 DELTA_LOG = 1e-12
@@ -115,10 +115,11 @@ class ResidualKernel:
                    for i in (0, 1) for k in (0, 1)]
         self._a_in = [np.ascontiguousarray(c[1:-1, 1:-1]) for c in self._a]
         self._lnp = [np.ascontiguousarray(glnp[1:-1, 1:-1, c]) for c in (0, 1)]
-        self._w = None
+        self._blocks = None
 
-    def jets(self, u: np.ndarray):
-        """Interior residual and the two components of D_X u there."""
+    def _parts(self, u: np.ndarray):
+        """Interior D_X u, symmetrized Hessian, ||D_X u||^2, <D_X u, D_X ln p>
+        and the floored ln ||D_X u||."""
         grid = self.frame.grid
         a11, a12, a21, a22 = self._a
         ux = _d_axis(u, grid.hx, axis=1)
@@ -133,10 +134,15 @@ class ResidualKernel:
         h11 = b11 * gx[0] + b12 * gy[0]
         h12 = 0.5 * ((b11 * gx[1] + b12 * gy[1]) + (b21 * gx[0] + b22 * gy[0]))
         h22 = b21 * gx[1] + b22 * gy[1]
-        quad = h11 * g1 * g1 + 2.0 * h12 * g1 * g2 + h22 * g2 * g2
         n2 = g1 * g1 + g2 * g2
         dot = g1 * self._lnp[0] + g2 * self._lnp[1]
         log_n = np.log(np.maximum(np.sqrt(n2), self.delta_log))
+        return g1, g2, h11, h12, h22, n2, dot, log_n
+
+    def jets(self, u: np.ndarray):
+        """Interior residual and the two components of D_X u there."""
+        g1, g2, h11, h12, h22, n2, dot, log_n = self._parts(u)
+        quad = h11 * g1 * g1 + 2.0 * h12 * g1 * g2 + h22 * g2 * g2
         return -(quad + n2 * dot * log_n), g1, g2
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -145,19 +151,36 @@ class ResidualKernel:
         out[1:-1, 1:-1] = self.jets(u)[0]
         return out
 
-    def diagonal(self, g1: np.ndarray, g2: np.ndarray,
-                 nodes=(slice(None), slice(None))) -> np.ndarray:
-        """d r_n / d u(n) at the interior ``nodes`` given D_X u there.
+    def jacobian(self, u: np.ndarray) -> sp.csc_matrix:
+        """d r / d u on interior rows and columns (row-major node order).
 
-        D_X u(n) does not read u(n) and the Hessian is linear in u, so
-        r_n is affine in u(n) with slope -g_n^t W_n g_n, W_n the Hessian
-        self-weight (:func:`infxlap.grid.hessian_self_weights`).
+        With G_i = diag(a_i1) Dx + diag(a_i2) Dy on the whole lattice,
+        D_X u = (G1 u, G2 u) and the Hessian is H11 = G1 G1,
+        H12 = (G1 G2 + G2 G1)/2, H22 = G2 G2 applied to u, so dr/du is
+        -(sum_ab g_a g_b H_ab + sum_a c_a G_a), c_a the derivative of the
+        bracket of r in g_a at fixed H.  The operators are built once.
         """
-        if self._w is None:
-            w = hessian_self_weights(self.frame)[1:-1, 1:-1]
-            self._w = [np.ascontiguousarray(w[..., c]) for c in (0, 1, 2)]
-        w11, w12, w22 = (w[nodes] for w in self._w)
-        return -(w11 * g1 * g1 + 2.0 * w12 * g1 * g2 + w22 * g2 * g2)
+        if self._blocks is None:
+            grid = self.frame.grid
+            ny, nx = grid.shape
+            dx = sp.kron(sp.eye(ny), _d_axis(np.eye(nx), grid.hx, 0), "csr")
+            dy = sp.kron(_d_axis(np.eye(ny), grid.hy, 0), sp.eye(nx), "csr")
+            a11, a12, a21, a22 = (sp.diags(c.ravel()) for c in self._a)
+            G1, G2 = a11 @ dx + a12 @ dy, a21 @ dx + a22 @ dy
+            inner = np.flatnonzero(grid.interior_mask())
+            self._blocks = [m.tocsr()[inner][:, inner] for m in
+                            (G1 @ G1, 0.5 * (G1 @ G2 + G2 @ G1), G2 @ G2,
+                             G1, G2)]
+        g1, g2, h11, h12, h22, n2, dot, log_n = self._parts(u)
+        # d(||g||^2 dot ln||g||)/d g_a = (2 dot ln||g|| + dot) g_a
+        # + ||g||^2 lnp_a ln||g||, the middle term absent below the floor
+        s = 2.0 * dot * log_n + np.where(n2 > self.delta_log ** 2, dot, 0.0)
+        c = [2.0 * (ha * g1 + hb * g2) + s * ga + n2 * la * log_n
+             for ha, hb, ga, la in ((h11, h12, g1, self._lnp[0]),
+                                    (h12, h22, g2, self._lnp[1]))]
+        weights = (g1 * g1, 2.0 * g1 * g2, g2 * g2, c[0], c[1])
+        return -sum(sp.diags(w.ravel()) @ m
+                    for w, m in zip(weights, self._blocks)).tocsc()
 
 
 def infinity_x_residual_field(u: np.ndarray, frame: FrameField,

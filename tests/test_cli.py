@@ -83,6 +83,11 @@ class TestConfigLoading:
         with pytest.raises(cfgio.ConfigError, match="solver.turbo"):
             cfgio.load_problem(write_config(tmp_path, extra=extra))
 
+    def test_negative_polish_cap_named(self, tmp_path):
+        extra = "\n[solver]\npolish_sweeps = -3\n"
+        with pytest.raises(cfgio.ConfigError, match="solver.polish_sweeps"):
+            cfgio.load_problem(write_config(tmp_path, extra=extra))
+
     @pytest.mark.parametrize("key", ["damping", "picard_tol",
                                      "picard_max_iter", "cg_tol",
                                      "cg_max_iter"])

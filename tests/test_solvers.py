@@ -11,8 +11,8 @@ from infxlap.solvers import (_DETA, _DXI, FactorizationError, NewtonStall,
                              ProblemSpec, SolveReport, SolverConfig,
                              SolverError, _EnergyModel, _frame_metric_pack,
                              _interp_gp, _InteriorPattern, continue_k,
-                             harmonic_extension, solve_dirichlet_infinity,
-                             solve_pk)
+                             _polish_newton, harmonic_extension,
+                             solve_dirichlet_infinity, solve_pk)
 
 
 def unit_grid(n=17):
@@ -45,6 +45,11 @@ class TestConfigValidation:
             SolverConfig(delta_reg=-1e-8)
         with pytest.raises(ValueError):
             SolverConfig(continuation_tol=0.0)
+
+    def test_negative_polish_cap_rejected(self):
+        with pytest.raises(ValueError, match="polish_sweeps"):
+            SolverConfig(polish_sweeps=-3)
+        SolverConfig(polish_sweeps=0)   # 0 skips the polish
 
     def test_spec_rejects_small_p(self):
         g = unit_grid(5)
@@ -369,3 +374,91 @@ class TestDirichletInfinity:
             ProblemSpec(grid=g, frame=fr, p=p, f=(f + 0.1)))
         # raising the boundary data never lowers the solution anywhere
         assert np.min(v - u) > -1e-6
+
+
+def _varframe_33():
+    """The problem of configs/variable_frame.ini at 33x33."""
+    g = unit_grid(33)
+    fr = sample_frame(parse("1"), parse("0"), parse("0"), parse("1 + x/2"), g)
+    X, Y = g.meshgrid()
+    return ProblemSpec(grid=g, frame=fr, p=2.0 + X ** 2 / 4.0,
+                       f=1.0 + X / 4.0 + Y / 2.0)
+
+
+class TestPolish:
+    def test_saddle_rejected_keeps_continuation_field(self):
+        # the equation degenerates at the critical point of the saddle:
+        # Newton does not reach the discrete zero within the step cap
+        g = build_grid(-1.0, 1.0, -1.0, 1.0, 33, 33)
+        X, Y = g.meshgrid()
+        spec = ProblemSpec(grid=g, frame=identity_frame(g),
+                           p=2.0 + X ** 2 / 4.0,
+                           f=X ** 2 - Y ** 2 + 0.3 * X * Y)
+        u, report = solve_dirichlet_infinity(spec)
+        u_cont, _ = continue_k(spec)
+        assert np.array_equal(u, u_cont)
+        assert report.polish_accepted is False
+        assert report.polish_stop in ("step cap", "line search failed")
+        assert 0 < report.polish_steps <= spec.config.polish_sweeps
+        assert report.polish_final >= solvers._POLISH_TOL
+        i, j = report.polish_worst
+        assert 0 < i < g.nx - 1 and 0 < j < g.ny - 1
+        assert f"worst node (i={i}, j={j})" in report.format()
+        assert "rejected" in report.format()
+
+    def test_converged_polish_reported(self):
+        spec = _varframe_33()
+        u, report = solve_dirichlet_infinity(spec)
+        res = solvers.infinity_x_residual_field(u, spec.frame, spec.p)
+        assert report.polish_accepted is True
+        assert report.polish_stop == "converged"
+        assert 0 < report.polish_steps <= spec.config.polish_sweeps
+        assert float(np.max(np.abs(res))) == report.polish_final
+        assert report.polish_final < solvers._POLISH_TOL
+        assert "accepted" in report.format()
+
+    def test_start_independent(self):
+        # Newton from the harmonic extension alone and from the
+        # continuation field lands on the same discrete zero
+        spec = _varframe_33()
+        starts = [harmonic_extension(spec.grid, spec.frame, spec.f),
+                  continue_k(spec)[0]]
+        out = [_polish_newton(u, spec.frame, spec.p, 20) for u in starts]
+        assert all(accepted for *_, accepted in out)
+        assert np.max(np.abs(out[0][0] - out[1][0])) <= 1e-9
+
+    def test_failed_factorization_returns_start(self, monkeypatch):
+        spec = _varframe_33()
+        u0 = harmonic_extension(spec.grid, spec.frame, spec.f)
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+        monkeypatch.setattr(solvers, "splu", singular)
+        report = SolveReport()
+        u, initial, final, accepted = _polish_newton(u0, spec.frame, spec.p,
+                                                     20, report)
+        assert u is u0 and not accepted and final == initial
+        assert report.polish_steps == 0
+        assert report.polish_stop.startswith("factorization failed")
+
+    def test_second_order_on_aronsson(self):
+        # the discrete zero converges at h^2, below the continuation's
+        # k-truncation floor (~7e-5 at every size); the 129^2 Newton
+        # starts from the exact data to keep the test short
+        errors = []
+        for n in (33, 65, 129):
+            g = build_grid(1.0, 2.0, 1.0, 2.0, n, n)
+            X, Y = g.meshgrid()
+            exact = X ** (4.0 / 3.0) - Y ** (4.0 / 3.0)
+            spec = ProblemSpec(grid=g, frame=identity_frame(g),
+                               p=np.full(g.shape, 2.0), f=exact.copy())
+            if n < 129:
+                u, report = solve_dirichlet_infinity(spec)
+                accepted = report.polish_accepted
+            else:
+                u, *_, accepted = _polish_newton(exact, spec.frame, spec.p,
+                                                 20)
+            assert accepted
+            errors.append(float(np.max(np.abs(u - exact))))
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert min(ratios) >= 3.5, (errors, ratios)
