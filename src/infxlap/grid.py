@@ -11,7 +11,9 @@ coefficients of the two vector fields in the Euclidean basis; the
 frame gradient of u is ``A (du/dx, du/dy)``.  First derivatives use
 central differences at interior nodes (second order) and third-order
 one-sided stencils on the boundary rows, so that nesting two first
-derivatives stays second-order accurate up to the boundary.
+derivatives stays second-order accurate up to the boundary.  The
+Riemannian distance is a shortest path on the 8-neighbor lattice graph,
+searched undirected from any number of sources in one Dijkstra call.
 """
 
 from __future__ import annotations
@@ -216,42 +218,46 @@ def symmetrized_hessian(u: np.ndarray, frame: FrameField) -> np.ndarray:
     return out
 
 
-_NEIGHBOR_OFFSETS = [(-1, -1), (-1, 0), (-1, 1),
-                     (0, -1), (0, 1),
-                     (1, -1), (1, 0), (1, 1)]
-
-
 def riemannian_distance(frame: FrameField, grid: Grid2D,
-                        source: tuple[int, int]) -> np.ndarray:
-    """Shortest-path frame distance from a source node, shape (ny, nx).
+                        source) -> np.ndarray:
+    """Shortest-path frame distances from one or many source nodes.
 
-    Edge weight between lattice neighbors P, Q is ||(M^t)^{-1}(Q - P)||
-    with M the entrywise average of the endpoint frames (edge-midpoint
-    quadrature of curve length).  Each call builds the 8-neighbor graph
-    as one CSR matrix over the flat node index ``j*nx + i`` and solves it
-    with ``scipy.sparse.csgraph.dijkstra``; ``source`` is given as (i, j)
-    indices.
+    ``source`` is one ``(i, j)`` pair or an ``(m, 2)`` array of pairs;
+    the result has shape ``np.shape(source)[:-1] + (ny, nx)``, so a
+    single pair gives one ``(ny, nx)`` field.  Edge weight between
+    lattice neighbors P, Q is ||(M^t)^{-1}(Q - P)|| with M the entrywise
+    average of the endpoint frames (edge-midpoint quadrature of curve
+    length); it is the same both ways, so each of the 8-neighbor edges
+    is stored once, in one CSR matrix over the flat node index
+    ``j*nx + i``.  One undirected ``scipy.sparse.csgraph.dijkstra`` call
+    solves every source and returns m*n doubles.
     """
     # imported here so that runs which never ask for a distance do not
     # load scipy's csgraph module
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    si, sj = source
     ny, nx = grid.shape
-    if not (0 <= si < nx and 0 <= sj < ny):
-        raise ValueError(f"source node ({si}, {sj}) outside the grid")
+    src = np.asarray(source, dtype=float)
+    if src.shape[-1:] != (2,):
+        raise ValueError(f"source must be (i, j) or an (m, 2) array, "
+                         f"got shape {src.shape}")
+    pairs = src.reshape(-1, 2)
+    bad = ~((pairs == np.round(pairs)) & (pairs >= 0) & (pairs < (nx, ny)))
+    if np.any(bad):
+        si, sj = (f"{v:g}" for v in pairs[np.argwhere(bad)[0, 0]])
+        raise ValueError(f"source node ({si}, {sj}) is not an integer "
+                         f"node of the {nx}x{ny} grid")
 
-    # Edge weights per direction, vectorized, with their flat endpoints.
+    # Edge weights per forward direction, vectorized, with their endpoints.
     n = grid.n_nodes
     flat = np.arange(n).reshape(ny, nx)
     rows, cols, weights = [], [], []
     a = frame.a
-    for dj, di in _NEIGHBOR_OFFSETS:
+    for dj, di in ((0, 1), (1, -1), (1, 0), (1, 1)):
         # slice pairs: node (j, i) -> neighbor (j+dj, i+di)
-        js = slice(max(0, -dj), ny - max(0, dj))
+        js, jd = slice(0, ny - dj), slice(dj, ny)
         is_ = slice(max(0, -di), nx - max(0, di))
-        jd = slice(max(0, dj), ny - max(0, -dj))
         id_ = slice(max(0, di), nx - max(0, -di))
         mid = 0.5 * (a[js, is_] + a[jd, id_])
         det = (mid[..., 0, 0] * mid[..., 1, 1]
@@ -259,7 +265,7 @@ def riemannian_distance(frame: FrameField, grid: Grid2D,
         if np.any(det == 0.0):
             # name the edge's first endpoint and its midpoint determinant
             bj, bi = np.argwhere(det == 0.0)[0]
-            i, j = int(bi) + is_.start, int(bj) + js.start
+            i, j = int(bi) + is_.start, int(bj)
             raise FrameSingular(i, j, grid.xs[i], grid.ys[j],
                                 float(det[bj, bi]))
         dx = di * grid.hx
@@ -274,7 +280,9 @@ def riemannian_distance(frame: FrameField, grid: Grid2D,
     graph = csr_matrix((np.concatenate(weights),
                         (np.concatenate(rows), np.concatenate(cols))),
                        shape=(n, n))
-    dist = dijkstra(graph, indices=sj * nx + si).reshape(ny, nx)
+    ij = pairs.astype(np.intp)
+    dist = dijkstra(graph, directed=False, indices=ij[:, 1] * nx + ij[:, 0])
+    dist = dist.reshape(src.shape[:-1] + grid.shape)
     # rectangles are connected; keep a finite sentinel regardless
     dist[~np.isfinite(dist)] = 1e300
     return dist

@@ -166,6 +166,44 @@ class TestDistance:
         with pytest.raises(ValueError):
             riemannian_distance(identity_frame(g), g, (9, 0))
 
+    def test_non_integer_source_rejected(self):
+        # a fractional index must not be truncated to a node
+        g = unit_grid(5)
+        fr = identity_frame(g)
+        with pytest.raises(ValueError, match=r"\(1\.5, 2\)"):
+            riemannian_distance(fr, g, (1.5, 2))
+        with pytest.raises(ValueError, match=r"\(2, 2\.5\)"):
+            riemannian_distance(fr, g, [(0, 0), (2, 2.5), (1, 1)])
+
+    def test_batch_names_first_bad_source(self):
+        g = unit_grid(5)
+        with pytest.raises(ValueError, match=r"\(9, 0\)"):
+            riemannian_distance(identity_frame(g), g,
+                                np.array([(0, 0), (9, 0), (0, 9)]))
+
+    def test_shape_contract(self):
+        g = build_grid(0.0, 1.0, 0.0, 1.0, 6, 5)
+        fr = identity_frame(g)
+        assert riemannian_distance(fr, g, (1, 2)).shape == (5, 6)
+        assert riemannian_distance(fr, g, [(1, 2)]).shape == (1, 5, 6)
+        assert riemannian_distance(fr, g, np.zeros((3, 2), int)).shape \
+            == (3, 5, 6)
+        with pytest.raises(ValueError, match="shape"):
+            riemannian_distance(fr, g, (1, 2, 3))
+
+    @pytest.mark.parametrize("nx, ny", [(13, 7), (7, 13)])
+    def test_multi_source_matches_single_calls(self, nx, ny):
+        g = build_grid(0.0, 1.2, 0.0, 0.8, nx, ny)
+        rng = np.random.default_rng(10 * nx + ny)
+        fr = make_frame(g, 0.5 * rng.normal(size=(ny, nx, 2, 2))
+                        + 1.5 * np.eye(2))
+        # corners, edges, interior, and a repeated source
+        sources = [(0, 0), (nx - 1, ny - 1), (nx // 2, 0), (0, ny // 2),
+                   (nx // 2, ny // 2), (2, 3), (0, 0)]
+        multi = riemannian_distance(fr, g, sources)
+        single = np.stack([riemannian_distance(fr, g, s) for s in sources])
+        assert np.array_equal(multi, single)
+
     def test_overestimate_bound(self):
         # 8-neighbor graph metric: within 8.3% of Euclidean, never below
         g = unit_grid(33)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from infxlap import verify
-from infxlap.grid import build_grid, identity_frame, riemannian_distance
+from infxlap.expressions import parse
+from infxlap.grid import (build_grid, identity_frame, make_frame,
+                          riemannian_distance, sample_frame)
 from infxlap.solvers import ProblemSpec
 from infxlap.verify import (CheckReport, check_comparison,
                             check_log_gradient_bound, eikonal_check,
@@ -14,6 +16,20 @@ from infxlap.verify import (CheckReport, check_comparison,
 
 def unit_grid(n=17):
     return build_grid(0.0, 1.0, 0.0, 1.0, n, n)
+
+
+def _lipschitz_problem(name):
+    """The varframe-33 problem, or a 21x17 random full frame and data."""
+    if name == "varframe":
+        g = unit_grid(33)
+        fr = sample_frame(parse("1"), parse("0"), parse("0"),
+                          parse("1 + x/2"), g)
+        X, Y = g.meshgrid()
+        return g, fr, 1.0 + X / 4.0 + Y / 2.0
+    g = build_grid(0.0, 1.2, 0.0, 0.8, 21, 17)
+    rng = np.random.default_rng(21)
+    fr = make_frame(g, 0.5 * rng.normal(size=(17, 21, 2, 2)) + 1.5 * np.eye(2))
+    return g, fr, rng.normal(size=g.shape)
 
 
 class TestLipschitz:
@@ -41,18 +57,50 @@ class TestLipschitz:
 
     def test_at_most_max_sources(self, monkeypatch):
         # 124 boundary nodes at 32^2: a floor stride of 1 would source all
-        calls = []
+        rows = []
 
-        def counting(*args):
-            calls.append(args[2])
-            return riemannian_distance(*args)
+        def counting(frame, grid, source):
+            rows.extend(map(tuple, np.reshape(source, (-1, 2)).tolist()))
+            return riemannian_distance(frame, grid, source)
 
         monkeypatch.setattr(verify, "riemannian_distance", counting)
         g = unit_grid(32)
         X, _ = g.meshgrid()
         lipschitz_constant(X, g, identity_frame(g), max_sources=64)
-        assert 0 < len(calls) <= 64
-        assert len(set(calls)) == len(calls)
+        assert 0 < len(rows) <= 64
+        assert len(set(rows)) == len(rows)
+
+    @pytest.mark.parametrize("max_sources", [0, -1])
+    def test_max_sources_below_one_rejected(self, max_sources):
+        # 0 would divide by zero and -1 would reverse the stride
+        g = unit_grid(9)
+        X, _ = g.meshgrid()
+        with pytest.raises(ValueError, match="max_sources"):
+            lipschitz_constant(X, g, identity_frame(g), max_sources)
+
+    @pytest.mark.parametrize("problem, max_sources",
+                             [("varframe", 64), ("full", 64), ("full", 10)])
+    def test_matches_per_source_loop(self, problem, max_sources):
+        g, fr, f = _lipschitz_problem(problem)
+        nodes = [(int(i), int(j)) for j, i in np.argwhere(g.boundary_mask())]
+        stride = -(-len(nodes) // max_sources)
+        ref = 0.0
+        for si, sj in nodes[::stride]:
+            dist = riemannian_distance(fr, g, (si, sj))
+            for ti, tj in nodes:
+                if dist[tj, ti] > 0:
+                    ref = max(ref, abs(f[tj, ti] - f[sj, si]) / dist[tj, ti])
+        assert lipschitz_constant(f, g, fr, max_sources) == ref
+
+    def test_distances_come_through_the_module_seam(self, monkeypatch):
+        # the benchmark times and perturbs distances by wrapping
+        # verify.riemannian_distance; a path around it would escape both
+        g, fr, f = _lipschitz_problem("varframe")
+        base = lipschitz_constant(f, g, fr)
+        monkeypatch.setattr(verify, "riemannian_distance",
+                            lambda *args: 1.01 * riemannian_distance(*args))
+        assert lipschitz_constant(f, g, fr) == pytest.approx(base / 1.01,
+                                                             rel=1e-14)
 
 
 class TestComparison:
