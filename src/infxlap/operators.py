@@ -11,13 +11,15 @@ positive power of the gradient norm is taken at its limit value 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import FrameField, _d_axis, grad_ln_p, riemannian_gradient
+from .grid import (FrameField, Grid2D, _d_axis, grad_ln_p,
+                   riemannian_gradient)
 
 #: log regularization floor for field residuals (never applied to jets)
 DELTA_LOG = 1e-12
@@ -158,19 +160,21 @@ class ResidualKernel:
         D_X u = (G1 u, G2 u) and the Hessian is H11 = G1 G1,
         H12 = (G1 G2 + G2 G1)/2, H22 = G2 G2 applied to u, so dr/du is
         -(sum_ab g_a g_b H_ab + sum_a c_a G_a), c_a the derivative of the
-        bracket of r in g_a at fixed H.  The operators are built once.
+        bracket of r in g_a at fixed H.  The five blocks are built once per
+        kernel as (nnz, 5) data on one CSC pattern (:class:`_LatticeProducts`).
         """
         if self._blocks is None:
-            grid = self.frame.grid
-            ny, nx = grid.shape
-            dx = sp.kron(sp.eye(ny), _d_axis(np.eye(nx), grid.hx, 0), "csr")
-            dy = sp.kron(_d_axis(np.eye(ny), grid.hy, 0), sp.eye(nx), "csr")
-            a11, a12, a21, a22 = (sp.diags(c.ravel()) for c in self._a)
-            G1, G2 = a11 @ dx + a12 @ dy, a21 @ dx + a22 @ dy
-            inner = np.flatnonzero(grid.interior_mask())
-            self._blocks = [m.tocsr()[inner][:, inner] for m in
-                            (G1 @ G1, 0.5 * (G1 @ G2 + G2 @ G1), G2 @ G2,
-                             G1, G2)]
+            lp, a = _lattice_products(self.frame.grid), self.frame.a
+            g1, g2 = (a[..., i, :].ravel()[lp.coef] * lp.val for i in (0, 1))
+            x1, x2, y1, y2 = g1[lp.e1], g2[lp.e1], g1[lp.e2], g2[lp.e2]
+            m = np.stack([np.bincount(slot, w, len(lp.rows)) for slot, w in (
+                (lp.pslot, x1 * y1), (lp.pslot, 0.5 * (x1 * y2 + x2 * y1)),
+                (lp.pslot, x2 * y2), (lp.gslot, g1[lp.gent]),
+                (lp.gslot, g2[lp.gent]))], axis=1)
+            keep = np.any(m != 0.0, axis=1)
+            self._blocks = m[keep], lp.rows[keep], np.searchsorted(
+                lp.cols[keep], np.arange(lp.n + 1)).astype(np.intc)
+        m, rows, indptr = self._blocks
         g1, g2, h11, h12, h22, n2, dot, log_n = self._parts(u)
         # d(||g||^2 dot ln||g||)/d g_a = (2 dot ln||g|| + dot) g_a
         # + ||g||^2 lnp_a ln||g||, the middle term absent below the floor
@@ -178,9 +182,46 @@ class ResidualKernel:
         c = [2.0 * (ha * g1 + hb * g2) + s * ga + n2 * la * log_n
              for ha, hb, ga, la in ((h11, h12, g1, self._lnp[0]),
                                     (h12, h22, g2, self._lnp[1]))]
-        weights = (g1 * g1, 2.0 * g1 * g2, g2 * g2, c[0], c[1])
-        return -sum(sp.diags(w.ravel()) @ m
-                    for w, m in zip(weights, self._blocks)).tocsc()
+        w = np.stack([g1 * g1, 2.0 * g1 * g2, g2 * g2, c[0], c[1]], axis=-1)
+        data = -np.einsum("ij,ij->i", m, np.take(w.reshape(-1, 5), rows, 0))
+        return sp.csc_matrix((data, rows, indptr), shape=(g1.size,) * 2)
+
+
+class _LatticeProducts:
+    """Entries of Dx and Dy on the lattice (G_i = diag(a_i1) Dx + diag(a_i2)
+    Dy has values ``a[..., i, :].ravel()[coef] * val``), the pairs (e1, e2)
+    with col(e1) = row(e2) that sum to G_a G_b on interior nodes, and their
+    and G_i's (``gent``) slots in one CSC pattern of interior nodes."""
+
+    def __init__(self, grid: Grid2D):
+        ny, nx = grid.shape
+        d = [sp.kron(sp.eye(ny), _d_axis(np.eye(nx), grid.hx, 0), "coo"),
+             sp.kron(_d_axis(np.eye(ny), grid.hy, 0), sp.eye(nx), "coo")]
+        row, col, self.val = (np.concatenate([getattr(m, k) for m in d])
+                              for k in ("row", "col", "data"))
+        self.coef = 2 * row + np.repeat([0, 1], [m.nnz for m in d])
+        self.n, shape = (ny - 2) * (nx - 2), (len(row), ny * nx)
+        number = np.full(ny * nx, -1)
+        number[grid.interior_mask().ravel()] = np.arange(self.n)
+        r, c = number[row], number[col]
+        e1, e2 = np.flatnonzero(r >= 0), np.flatnonzero(c >= 0)
+        # the pairs are the pattern of [col(e1) = m] [row(e2) = m]
+        pairs = (sp.csr_matrix((np.ones(len(e1)), (e1, col[e1])), shape)
+                 @ sp.csr_matrix((np.ones(len(e2)), (row[e2], e2)),
+                                 shape[::-1])).tocoo()
+        self.e1, self.e2 = pairs.row, pairs.col
+        self.gent = np.flatnonzero((r >= 0) & (c >= 0))
+        keys, slot = np.unique(np.concatenate(
+            [c[self.e2] * self.n + r[self.e1],
+             c[self.gent] * self.n + r[self.gent]]), return_inverse=True)
+        self.pslot, self.gslot = slot[:len(self.e1)], slot[len(self.e1):]
+        self.rows, self.cols = (keys % self.n).astype(np.intc), keys // self.n
+
+
+@functools.lru_cache(maxsize=1)
+def _lattice_products(grid: Grid2D) -> _LatticeProducts:
+    """The grid's products, built once while the same grid is polished."""
+    return _LatticeProducts(grid)
 
 
 def infinity_x_residual_field(u: np.ndarray, frame: FrameField,

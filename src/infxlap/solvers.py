@@ -8,11 +8,12 @@ limit u_infinity; the start is the frame-harmonic extension, the
 minimizer of the quadratic energy at kp = 2, which one Newton step finds.
 
 The energy is evaluated over bilinear elements (2x2 Gauss points,
-coefficients interpolated from the nodes).  Its Hessian is symmetric
-positive definite, reproduces linear fields exactly, and (for the unit
-frame at kp = 2) annihilates the harmonic polynomial x^2 - y^2 exactly.
-Every Newton step is one direct SuperLU factorization, in symmetric mode,
-of the equilibrated interior block.
+coefficients interpolated from the nodes), once per iterate.  Its Hessian
+is symmetric positive definite, reproduces linear fields exactly, and (for
+the unit frame at kp = 2) annihilates the harmonic polynomial x^2 - y^2
+exactly.  Every Newton step factors the equilibrated interior block once
+with SuperLU in symmetric mode, in the grid's nested-dissection numbering;
+the polish factors its Jacobian in a minimum-degree order.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,46 +171,52 @@ def _frame_metric_pack(frame: FrameField) -> np.ndarray:
     return ata[..., [0, 0, 1], [0, 1, 1]]
 
 
+def _nested_dissection(mj: int, mi: int) -> np.ndarray:
+    """Row-major ids of an mj x mi block in nested-dissection order: split
+    across the longer side by a one-node separator numbered after both
+    halves, down to two nodes (George, SIAM J. Numer. Anal. 10 (1973)
+    345-363)."""
+    def order(ids):
+        if ids.size <= 2:
+            return [ids.ravel()]
+        ids = ids.T if ids.shape[1] > ids.shape[0] else ids
+        s = len(ids) // 2
+        return order(ids[:s]) + order(ids[s + 1:]) + [ids[s]]
+    return np.concatenate(order(np.arange(mj * mi).reshape(mj, mi)))
+
+
 class _InteriorPattern:
     """Interior block of the bilinear stiffness matrix on a fixed CSC pattern.
 
-    Column n holds the interior nodes within one grid step of interior node
-    n (numbered row-major), rows ascending.  ``indptr``, ``indices`` and the
-    slot of each element-matrix entry (``nnz`` if it touches the boundary)
-    depend on the grid alone.
+    Interior nodes are numbered in nested-dissection order, which the
+    factorization keeps; ``interior`` holds their flat ids in that order.
+    Column n holds the interior nodes that share a cell with node n, rows
+    ascending.  ``indptr``, ``indices`` and the slot of each element-matrix
+    entry (``nnz`` if it touches the boundary) depend on the grid alone.
     """
 
     def __init__(self, grid: Grid2D):
         ny, nx = grid.shape
-        mj, mi = ny - 2, nx - 2
-        self.n = mj * mi
+        self.n = n = (ny - 2) * (nx - 2)
         node = np.arange(ny * nx).reshape(ny, nx)
         self.gidx = np.stack([node[j:ny - 1 + j, i:nx - 1 + i].ravel()
                               for j, i in zip(_CJ, _CI)], axis=1)  # (ncell, 4)
-        self.interior = grid.interior_mask().ravel()
-        # interior number of every node (-1 on the boundary), and of the
-        # nine neighbours of each interior node in row-major order
-        number = np.full((ny, nx), -1)
-        number[1:-1, 1:-1] = np.arange(self.n).reshape(mj, mi)
-        nbr = np.stack([number[j:j + mj, i:i + mi].ravel()
-                        for j in range(3) for i in range(3)], axis=1)
-        valid = nbr >= 0
-        self.nnz = int(valid.sum())
-        table = np.where(valid, np.cumsum(valid).reshape(nbr.shape) - 1,
-                         self.nnz)
-        self.indices = nbr[valid].astype(np.intc)
-        self.indptr = np.append(0, valid.sum(axis=1).cumsum()).astype(np.intc)
-        self.col = np.repeat(np.arange(self.n), valid.sum(axis=1))
-        self.diag = table[:, 4]
+        self.interior = node[1:-1, 1:-1].ravel()[
+            _nested_dissection(ny - 2, nx - 2)]
+        number = np.full(ny * nx, -1)
+        number[self.interior] = np.arange(n)
         # entry (a, b) of a cell's element matrix: row corner a, column
-        # corner b; each interior node is corner b of exactly one cell, and
-        # corner a is interior iff its offset from b is a valid neighbour
-        offset = 3 * (_CJ[:, None] - _CJ + 1) + _CI[:, None] - _CI + 1
-        slot = np.full((ny - 1, nx - 1, 4, 4), self.nnz)
-        for b, (j, i) in enumerate(zip(_CJ, _CI)):
-            slot[1 - j:ny - 1 - j, 1 - i:nx - 1 - i, :, b] = \
-                table.reshape(mj, mi, 9)[:, :, offset[:, b]]
-        self.slot = slot.ravel()
+        # corner b, at CSC key column * n + row
+        corner = number[self.gidx]
+        inside = (corner[:, :, None] >= 0) & (corner[:, None, :] >= 0)
+        keys, slot = np.unique((corner[:, None, :] * n + corner[:, :, None])
+                               [inside], return_inverse=True)
+        self.nnz = len(keys)
+        self.slot = np.full(inside.size, self.nnz)
+        self.slot[inside.ravel()] = slot
+        self.indices, self.col = (keys % n).astype(np.intc), keys // n
+        self.indptr = np.searchsorted(self.col, range(n + 1)).astype(np.intc)
+        self.diag = np.searchsorted(keys, np.arange(n) * (n + 1))
         # element matrices ke = cq.reshape(ncell, 12) @ basis: ke[c, (a, b)]
         # = sum_q detj grad N_a . C(q) grad N_b, cq[c, q] = (C11, C12, C22)
         bx = self.bx = _DXI * (2.0 / grid.hx)                # (4gp, 4nodes)
@@ -228,13 +236,6 @@ class _InteriorPattern:
         return sp.csc_matrix((data, self.indices, self.indptr),
                              shape=(self.n, self.n))
 
-    def lift(self, ke: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """A_ib f_b on the interior rows, summed element by element."""
-        fe = np.where(self.interior, 0.0, f)[self.gidx]
-        kf = (ke.reshape(-1, 4, 4) @ fe[..., None])[..., 0]
-        return np.bincount(self.gidx.ravel(), weights=kf.ravel(),
-                           minlength=len(f))[self.interior]
-
     def factor(self, data: np.ndarray):
         """SuperLU factors of S A S, S = diag(A)^(-1/2), and diag(S).
 
@@ -244,7 +245,7 @@ class _InteriorPattern:
         """
         s = 1.0 / np.sqrt(data[self.diag])
         return splu(self.matrix(data * s[self.indices] * s[self.col]),
-                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    permc_spec="NATURAL", diag_pivot_thresh=0.0,
                     options=dict(SymmetricMode=True)), s
 
 
@@ -271,6 +272,14 @@ def _jensen_rhs(eps: float, kp: np.ndarray, logw_max: float) -> np.ndarray:
     return math.copysign(1.0, eps) * np.exp(logmag)
 
 
+# u at the Gauss points: n2 = delta^2 + ||A grad u||^2, its log, logm = log
+# of the weight n^{kp-2}, the flux T grad u and log_scale = max logm, whose
+# normalization makes overflow impossible (weights at the small end may
+# underflow to zero, dropping their negligible energy contribution).
+_GaussValues = namedtuple("_GaussValues",
+                          "u n2 ln_n2 logm log_scale f0 f1")
+
+
 class _EnergyModel:
     """Gauss-point evaluation of the regularized kp(x) Dirichlet energy.
 
@@ -284,8 +293,7 @@ class _EnergyModel:
     """
 
     def __init__(self, spec: ProblemSpec, k: float):
-        grid = spec.grid
-        self.grid = grid
+        self.grid = grid = spec.grid
         pat = self.pattern = _interior_pattern(grid)
         self.gidx, self.interior = pat.gidx, pat.interior
         self.bx, self.by, self.detj = pat.bx, pat.by, pat.detj
@@ -295,56 +303,40 @@ class _EnergyModel:
         self.delta2 = spec.config.delta_reg ** 2
         self.eps = spec.epsilon
 
-    def _grads(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(self, u: np.ndarray) -> _GaussValues:
         uc = u.ravel()[self.gidx]                            # (ncell, 4)
-        return uc @ self.bx.T, uc @ self.by.T
-
-    def _norm2(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+        gx, gy = uc @ self.bx.T, uc @ self.by.T
         t = self.tq
-        return (self.delta2 + t[..., 0] * gx * gx
-                + 2.0 * t[..., 1] * gx * gy + t[..., 2] * gy * gy)
-
-    def log_scale(self, u: np.ndarray) -> float:
-        """log of the largest Gauss-point weight m = n^{kp-2} at u.
-
-        Normalizing by the maximum makes overflow impossible; weights at
-        the small end may underflow to zero, which simply drops their
-        (negligible) energy contribution.
-        """
-        gx, gy = self._grads(u)
-        logm = 0.5 * (self.kpq - 2.0) * np.log(self._norm2(gx, gy))
-        return float(np.max(logm))
+        n2 = (self.delta2 + t[..., 0] * gx * gx
+              + 2.0 * t[..., 1] * gx * gy + t[..., 2] * gy * gy)
+        ln_n2 = np.log(n2)
+        logm = 0.5 * (self.kpq - 2.0) * ln_n2
+        return _GaussValues(u, n2, ln_n2, logm, float(np.max(logm)),
+                            t[..., 0] * gx + t[..., 1] * gy,
+                            t[..., 1] * gx + t[..., 2] * gy)
 
     def load(self, logs: float) -> np.ndarray:
         """Normalized lumped load vector over all nodes."""
         mag = _jensen_rhs(self.eps, self.kp_nodal, logs)
-        return np.where(self.interior,
-                        (mag * (self.grid.hx * self.grid.hy)).ravel(), 0.0)
+        return np.where(self.grid.interior_mask(),
+                        mag * (self.grid.hx * self.grid.hy), 0.0).ravel()
 
-    def energy(self, u: np.ndarray, logs: float) -> float:
+    def energy(self, ev: _GaussValues, logs: float) -> float:
         """Scaled energy; +inf on overflow (rejected by the line search)."""
-        gx, gy = self._grads(u)
-        n2 = self._norm2(gx, gy)
         with np.errstate(over="ignore"):
-            dens = np.exp(0.5 * self.kpq * np.log(n2)
-                          - np.log(self.kpq) - logs)
+            dens = np.exp(0.5 * self.kpq * ev.ln_n2 - np.log(self.kpq) - logs)
         return (self.detj * float(np.sum(dens))
-                - float(self.load(logs) @ u.ravel()))
+                - float(self.load(logs) @ ev.u.ravel()))
 
-    def gradient(self, u: np.ndarray, logs: float) -> np.ndarray:
+    def gradient(self, ev: _GaussValues, logs: float) -> np.ndarray:
         """Scaled energy gradient over all nodes (boundary rows included)."""
-        gx, gy = self._grads(u)
-        n2 = self._norm2(gx, gy)
-        m = np.exp(0.5 * (self.kpq - 2.0) * np.log(n2) - logs)
-        t = self.tq
-        f0 = t[..., 0] * gx + t[..., 1] * gy
-        f1 = t[..., 1] * gx + t[..., 2] * gy
-        rc = self.detj * ((m * f0) @ self.bx + (m * f1) @ self.by)
+        m = np.exp(ev.logm - logs)
+        rc = self.detj * ((m * ev.f0) @ self.bx + (m * ev.f1) @ self.by)
         r = np.bincount(self.gidx.ravel(), weights=rc.ravel(),
                         minlength=self.grid.n_nodes)
         return r - self.load(logs)
 
-    def hessian(self, u: np.ndarray, logs: float) -> np.ndarray:
+    def hessian(self, ev: _GaussValues, logs: float) -> np.ndarray:
         """Scaled energy Hessian: C = m T + m (kp-2)/n^2 (T xi)(T xi)^t,
         as the CSC data of its interior block on ``self.pattern``.
 
@@ -353,14 +345,9 @@ class _EnergyModel:
         is flat and kp is large; the line search still uses the exact
         energy and gradient.
         """
-        gx, gy = self._grads(u)
-        n2 = self._norm2(gx, gy)
-        m = np.exp(0.5 * (self.kpq - 2.0) * np.log(n2) - logs)
-        m = np.maximum(m, 1e-290)
-        mp = m * (self.kpq - 2.0) / n2
-        t = self.tq
-        f0 = t[..., 0] * gx + t[..., 1] * gy
-        f1 = t[..., 1] * gx + t[..., 2] * gy
+        m = np.maximum(np.exp(ev.logm - logs), 1e-290)
+        mp = m * (self.kpq - 2.0) / ev.n2
+        t, f0, f1 = self.tq, ev.f0, ev.f1
         cq = np.stack([m * t[..., 0] + mp * f0 * f0,
                        m * t[..., 1] + mp * f0 * f1,
                        m * t[..., 2] + mp * f1 * f1], axis=-1)
@@ -371,12 +358,12 @@ _NEWTON_TOL = 1e-8        # sup-norm update that ends the iteration
 _NEWTON_MAX_ITER = 500
 
 
-def _newton_direction(model: _EnergyModel, u: np.ndarray, logs: float,
-                      k: float, iteration: int) -> tuple[np.ndarray, np.ndarray]:
-    """Interior energy gradient and the Newton direction at u."""
-    grad = model.gradient(u, logs)[model.interior]
+def _newton_direction(model: _EnergyModel, ev: _GaussValues, k: float,
+                      iteration: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interior energy gradient and the Newton direction at ev.u."""
+    grad = model.gradient(ev, ev.log_scale)[model.interior]
     try:
-        lu, s = model.pattern.factor(model.hessian(u, logs))
+        lu, s = model.pattern.factor(model.hessian(ev, ev.log_scale))
     except RuntimeError as exc:
         raise FactorizationError(k, iteration, str(exc)) from exc
     return grad, s * lu.solve(s * -grad)
@@ -392,7 +379,7 @@ def harmonic_extension(grid: Grid2D, frame: FrameField,
     u = np.where(grid.interior_mask(), 0.0, np.asarray(f, dtype=float))
     model = _EnergyModel(ProblemSpec(grid=grid, frame=frame, f=u,
                                      p=np.full(grid.shape, 2.0)), 1.0)
-    _, d = _newton_direction(model, u, model.log_scale(u), 1.0, 0)
+    _, d = _newton_direction(model, model.evaluate(u), 1.0, 0)
     u.ravel()[model.interior] += d
     return u
 
@@ -415,17 +402,18 @@ def solve_pk(spec: ProblemSpec, k: float,
     model = _EnergyModel(spec, k)
     interior = model.interior
     history: list[float] = []
+    ev = model.evaluate(u)
     while True:
         if len(history) >= _NEWTON_MAX_ITER:
             raise NewtonStall(k, history)
-        logs = model.log_scale(u)
-        grad, d = _newton_direction(model, u, logs, k, len(history))
+        logs = ev.log_scale
+        grad, d = _newton_direction(model, ev, k, len(history))
         slope = float(grad @ d)
         if not slope < 0.0:
             # numerically indefinite step; fall back to steepest descent
             d = -grad
             slope = -float(grad @ grad)
-        phi0 = model.energy(u, logs)
+        phi0 = model.energy(ev, logs)
         # once the predicted decrease falls below rounding in the energy,
         # the line search cannot tell the full step from noise: take it
         # and stop, the minimizer is resolved
@@ -438,20 +426,20 @@ def solve_pk(spec: ProblemSpec, k: float,
         for _ in range(60):
             u_try = u.copy()
             u_try.ravel()[interior] += alpha * d
-            if floor or (model.energy(u_try, logs)
-                         <= phi0 + 1e-4 * alpha * slope):
+            ev = model.evaluate(u_try)
+            if floor or model.energy(ev, logs) <= phi0 + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
         else:
             raise NewtonStall(k, history + [alpha * dmax])
         history.append(alpha * dmax)
-        u = u_try
+        u = u_try          # ev now holds the evaluation at u
         if floor or history[-1] < _NEWTON_TOL:
             break
 
     # weak residual of the final iterate in the normalized energy gradient
-    logs = model.log_scale(u)
-    resid = model.gradient(u, logs)[interior]
+    logs = ev.log_scale
+    resid = model.gradient(ev, logs)[interior]
     scale = np.linalg.norm(model.load(logs)[interior])
     weak = float(np.linalg.norm(resid) / (scale if scale > 0 else 1.0))
     return u, PkStats(k=k, iterations=len(history),

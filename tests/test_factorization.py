@@ -1,5 +1,7 @@
 """The Newton Hessian's factorization: every call goes through
-``solvers.splu``, and symmetric mode agrees with partial pivoting."""
+``solvers.splu`` in the pattern's own nested-dissection order, that order
+fills no more than SuperLU's minimum degree, and symmetric mode agrees
+with partial pivoting."""
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -26,24 +28,41 @@ def test_every_factorization_goes_through_solvers_splu(monkeypatch):
     real = solvers.splu
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs.get("permc_spec"))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "splu", counting)
     _, report = solvers.continue_k(varframe_spec())
     newton = sum(s.iterations for s in report.per_k)
-    # one for the harmonic start, then one per Newton step
-    assert len(calls) == 1 + newton
+    # one for the harmonic start, then one per Newton step, each in the
+    # pattern's nested-dissection numbering
+    assert calls == ["NATURAL"] * (1 + newton)
+
+
+def k64_hessian(n):
+    """The equilibrated k = 64 Newton Hessian at the continuation field."""
+    spec = varframe_spec(n)
+    u, _ = solvers.continue_k(spec)
+    model = _EnergyModel(spec, 64.0)
+    ev = model.evaluate(u)
+    data = model.hessian(ev, ev.log_scale)
+    pattern = model.pattern
+    lu, s = pattern.factor(data)
+    a = pattern.matrix(data * s[pattern.indices] * s[pattern.col])
+    return pattern, lu, a
+
+
+def test_nested_dissection_fills_no_more_than_minimum_degree():
+    pattern, lu, a = k64_hessian(33)
+    # the same matrix in row-major node order, ordered by SuperLU
+    rowmajor = np.argsort(pattern.interior)
+    mmd = splu(a[rowmajor][:, rowmajor].tocsc(), permc_spec="MMD_AT_PLUS_A",
+               diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    assert lu.L.nnz + lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
 
 
 def test_symmetric_mode_agrees_with_partial_pivoting():
-    spec = varframe_spec()
-    u, _ = solvers.continue_k(spec)
-    model = _EnergyModel(spec, 64.0)
-    pattern = model.pattern
-    data = model.hessian(u, model.log_scale(u))
-    lu, s = pattern.factor(data)
-    a = pattern.matrix(data * s[pattern.indices] * s[pattern.col])
+    pattern, lu, a = k64_hessian(17)
     b = np.random.default_rng(3).normal(size=pattern.n)
     x_sym = lu.solve(b)
     x_piv = splu(a).solve(b)

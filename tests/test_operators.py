@@ -9,11 +9,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infxlap import operators
 from infxlap.expressions import parse
-from infxlap.grid import (build_grid, grad_ln_p, identity_frame,
+from infxlap.grid import (_d_axis, build_grid, grad_ln_p, identity_frame,
                           riemannian_gradient, sample_frame,
                           symmetrized_hessian)
 from infxlap.operators import (ExponentData, PointJet, ResidualKernel,
@@ -192,6 +194,54 @@ class TestResidualKernel:
         assert jac.shape == (fd.size, fd.size)
         jv = (jac @ v[1:-1, 1:-1].ravel()).reshape(fd.shape)
         assert np.max(np.abs(jv - fd)) <= 1e-9 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diag"])
+    def test_jacobian_matches_sparse_product_reference(self, diagonal):
+        # the blocks G_a G_b from scipy products of the whole-lattice
+        # operators, weighted by diagonal matrices: the fixed pattern must
+        # give the same matrix with the same entries, no more (a diagonal
+        # frame has a sparser pattern than a full one)
+        g, fr, p, u = _variable_problem()
+        if diagonal:
+            fr = sample_frame(parse("1"), parse("0"), parse("0"),
+                              parse("1 + x/2"), g)
+        kernel = ResidualKernel(fr, p)
+        ny, nx = g.shape
+        dx = sp.kron(sp.eye(ny), _d_axis(np.eye(nx), g.hx, 0), "csr")
+        dy = sp.kron(_d_axis(np.eye(ny), g.hy, 0), sp.eye(nx), "csr")
+        a = [sp.diags(fr.a[..., i, k].ravel()) for i in (0, 1) for k in (0, 1)]
+        G1, G2 = a[0] @ dx + a[1] @ dy, a[2] @ dx + a[3] @ dy
+        inner = np.flatnonzero(g.interior_mask())
+        blocks = [m.tocsr()[inner][:, inner] for m in
+                  (G1 @ G1, 0.5 * (G1 @ G2 + G2 @ G1), G2 @ G2, G1, G2)]
+        g1, g2, h11, h12, h22, n2, dot, log_n = kernel._parts(u)
+        lnp = grad_ln_p(p, fr)[1:-1, 1:-1]
+        s = 2.0 * dot * log_n + dot
+        c = [2.0 * (ha * g1 + hb * g2) + s * ga + n2 * lnp[..., i] * log_n
+             for i, (ha, hb, ga) in enumerate(((h11, h12, g1),
+                                               (h12, h22, g2)))]
+        weights = (g1 * g1, 2.0 * g1 * g2, g2 * g2, c[0], c[1])
+        ref = -sum(sp.diags(w.ravel()) @ m for w, m in zip(weights, blocks))
+        jac = kernel.jacobian(u)
+        assert jac.nnz == ref.nnz
+        assert (abs(jac - ref).max() <= 1e-13 * abs(ref).max())
+
+    def test_lattice_products_built_once_per_grid(self, monkeypatch):
+        builds = []
+
+        class Counting(operators._LatticeProducts):
+            def __init__(self, grid):
+                builds.append(grid)
+                super().__init__(grid)
+
+        monkeypatch.setattr(operators, "_LatticeProducts", Counting)
+        operators._lattice_products.cache_clear()
+        g, fr, p, u = _variable_problem()
+        for kernel in (ResidualKernel(fr, p), ResidualKernel(fr.scaled(2.0),
+                                                             p + 1.0)):
+            kernel.jacobian(u)
+            kernel.jacobian(u + 0.1)
+        assert builds == [g]
 
     def test_exponent_at_most_one_rejected(self):
         g, fr, p, u = _variable_problem()

@@ -10,7 +10,8 @@ from infxlap import solvers
 from infxlap.solvers import (_DETA, _DXI, FactorizationError, NewtonStall,
                              ProblemSpec, SolveReport, SolverConfig,
                              SolverError, _EnergyModel, _frame_metric_pack,
-                             _interp_gp, _InteriorPattern, continue_k,
+                             _interp_gp, _InteriorPattern,
+                             _nested_dissection, continue_k,
                              _polish_newton, harmonic_extension,
                              solve_dirichlet_infinity, solve_pk)
 
@@ -157,7 +158,7 @@ class TestInteriorPattern:
     def test_block_matches_dense_assembly(self, case):
         g, fr, rng, w = case
         pattern = _InteriorPattern(g)
-        inner = g.interior_mask().ravel()
+        inner = pattern.interior
         # the frame's element matrices are symmetric; random ones are not,
         # so a row/column swap in the scatter shows
         for ke in (weighted_elements(pattern, fr, w),
@@ -167,17 +168,18 @@ class TestInteriorPattern:
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.max(np.abs(got - ref.T)) > 1e-2 * np.max(np.abs(ref))
 
-    def test_lift_matches_boundary_columns(self, case):
-        g, fr, rng, w = case
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (7, 9),
+                                       (47, 47)])
+    def test_nested_dissection_is_a_permutation(self, shape):
+        order = _nested_dissection(*shape)
+        assert np.array_equal(np.sort(order), np.arange(shape[0] * shape[1]))
+
+    def test_interior_numbered_in_nested_dissection_order(self):
+        g = build_grid(0.0, 1.0, 0.0, 1.5, 9, 7)
         pattern = _InteriorPattern(g)
-        inner = g.interior_mask().ravel()
-        f = rng.normal(size=g.n_nodes)
-        for ke in (weighted_elements(pattern, fr, w),
-                   rng.normal(size=(len(pattern.gidx), 16))):
-            full = dense_assembly(pattern.gidx, ke, g.n_nodes)
-            ref = full[inner][:, ~inner] @ f[~inner]
-            got = pattern.lift(ke, f)
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        rowmajor = np.flatnonzero(g.interior_mask())
+        assert np.array_equal(pattern.interior,
+                              rowmajor[_nested_dissection(5, 7)])
 
     def test_built_once_per_continuation(self, monkeypatch):
         builds = []
@@ -238,18 +240,21 @@ class TestSolvePk:
         p = np.full(g.shape, 2.0)
         spec = ProblemSpec(grid=g, frame=fr, p=p, f=f.copy())
         k = 2.0
-        warm = harmonic_extension(g, fr, f)
-        u, _ = solve_pk(spec, k, init=warm)
+        bump = np.sin(np.pi * X) * np.sin(np.pi * Y)
+        # the harmonic extension of linear data is already the minimizer;
+        # start away from it so Newton has work to do
+        start = harmonic_extension(g, fr, f) + 0.05 * bump
+        u, _ = solve_pk(spec, k, init=start)
         # the energy Newton minimizes, at one frozen normalization
         model = _EnergyModel(spec, k)
-        logs = model.log_scale(u)
-        e_sol = model.energy(u, logs)
-        assert e_sol <= model.energy(warm, logs)
-        bump = np.sin(np.pi * X) * np.sin(np.pi * Y)
+        logs = model.evaluate(u).log_scale
+        energy = lambda v: model.energy(model.evaluate(v), logs)  # noqa: E731
+        e_sol = energy(u)
+        assert e_sol <= energy(start)
         rng = np.random.default_rng(6)
         for _ in range(10):
             pert = u + 0.1 * float(rng.uniform(0.5, 1.5)) * bump
-            assert e_sol <= model.energy(pert, logs)
+            assert e_sol <= energy(pert)
 
     def test_stall_reported_with_history(self, monkeypatch):
         g = unit_grid(9)
