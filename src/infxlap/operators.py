@@ -199,7 +199,9 @@ class _LatticeProducts:
              sp.kron(_d_axis(np.eye(ny), grid.hy, 0), sp.eye(nx), "coo")]
         row, col, self.val = (np.concatenate([getattr(m, k) for m in d])
                               for k in ("row", "col", "data"))
-        self.coef = 2 * row + np.repeat([0, 1], [m.nnz for m in d])
+        # per-grid index arrays as C ints: they stay cached after the polish
+        self.coef = (2 * row + np.repeat([0, 1], [m.nnz for m in d])
+                     ).astype(np.intc)
         self.n, shape = (ny - 2) * (nx - 2), (len(row), ny * nx)
         number = np.full(ny * nx, -1)
         number[grid.interior_mask().ravel()] = np.arange(self.n)
@@ -210,12 +212,14 @@ class _LatticeProducts:
                  @ sp.csr_matrix((np.ones(len(e2)), (row[e2], e2)),
                                  shape[::-1])).tocoo()
         self.e1, self.e2 = pairs.row, pairs.col
-        self.gent = np.flatnonzero((r >= 0) & (c >= 0))
+        self.gent = np.flatnonzero((r >= 0) & (c >= 0)).astype(np.intc)
         keys, slot = np.unique(np.concatenate(
             [c[self.e2] * self.n + r[self.e1],
              c[self.gent] * self.n + r[self.gent]]), return_inverse=True)
+        slot = slot.astype(np.intc)
         self.pslot, self.gslot = slot[:len(self.e1)], slot[len(self.e1):]
-        self.rows, self.cols = (keys % self.n).astype(np.intc), keys // self.n
+        self.rows, self.cols = ((keys % self.n).astype(np.intc),
+                                (keys // self.n).astype(np.intc))
 
 
 @functools.lru_cache(maxsize=1)

@@ -11,9 +11,10 @@ The energy is evaluated over bilinear elements (2x2 Gauss points,
 coefficients interpolated from the nodes), once per iterate.  Its Hessian
 is symmetric positive definite, reproduces linear fields exactly, and (for
 the unit frame at kp = 2) annihilates the harmonic polynomial x^2 - y^2
-exactly.  Every Newton step factors the equilibrated interior block once
-with SuperLU in symmetric mode, in the grid's nested-dissection numbering;
-the polish factors its Jacobian in a minimum-degree order.
+exactly.  A Newton step factors the equilibrated interior block with
+SuperLU in symmetric mode, in the grid's nested-dissection numbering, or
+reuses the last factors while the steps contract (chord steps); the polish
+factors its Jacobian in a minimum-degree order.
 """
 
 from __future__ import annotations
@@ -102,6 +103,7 @@ class ProblemSpec:
 class PkStats:
     k: float
     iterations: int
+    factorizations: int     # Hessian factorizations, at most one per step
     final_update: float
     weak_residual: float
 
@@ -123,6 +125,7 @@ class SolveReport:
         for s in self.per_k:
             lines.append(
                 f"  k={s.k:<6g} iterations={s.iterations:<4d} "
+                f"factorizations={s.factorizations:<4d} "
                 f"final_update={s.final_update:.3e} "
                 f"weak_residual={s.weak_residual:.3e}"
             )
@@ -262,14 +265,15 @@ def _interior_pattern(grid: Grid2D) -> _InteriorPattern:
 _EXP_LIMIT = 700.0  # exponent guard after normalization (double overflow)
 
 
-def _jensen_rhs(eps: float, kp: np.ndarray, logw_max: float) -> np.ndarray:
-    """sign(eps) |eps|^{kp(x)-1} scaled by the weight normalization."""
+def _jensen_magnitude(eps: float, kp: np.ndarray,
+                      logw_max: float) -> np.ndarray:
+    """|eps|^{kp(x)-1} scaled by the weight normalization."""
     if eps == 0.0:
         return np.zeros_like(kp)
     logmag = (kp - 1.0) * math.log(abs(eps)) - logw_max
     if float(np.max(logmag)) > _EXP_LIMIT:
         raise SolverError("right-hand side overflows after normalization")
-    return math.copysign(1.0, eps) * np.exp(logmag)
+    return np.exp(logmag)
 
 
 # u at the Gauss points: n2 = delta^2 + ||A grad u||^2, its log, logm = log
@@ -302,6 +306,10 @@ class _EnergyModel:
         self.kpq = _interp_gp(self.kp_nodal, self.gidx)
         self.delta2 = spec.config.delta_reg ** 2
         self.eps = spec.epsilon
+        # interior cell areas carrying the sign of eps, 0.0 on the boundary
+        area = grid.hx * grid.hy
+        self.area = np.where(grid.interior_mask(),
+                             -area if self.eps < 0 else area, 0.0).ravel()
 
     def evaluate(self, u: np.ndarray) -> _GaussValues:
         uc = u.ravel()[self.gidx]                            # (ncell, 4)
@@ -317,9 +325,8 @@ class _EnergyModel:
 
     def load(self, logs: float) -> np.ndarray:
         """Normalized lumped load vector over all nodes."""
-        mag = _jensen_rhs(self.eps, self.kp_nodal, logs)
-        return np.where(self.grid.interior_mask(),
-                        mag * (self.grid.hx * self.grid.hy), 0.0).ravel()
+        return (_jensen_magnitude(self.eps, self.kp_nodal, logs).ravel()
+                * self.area)
 
     def energy(self, ev: _GaussValues, logs: float) -> float:
         """Scaled energy; +inf on overflow (rejected by the line search)."""
@@ -355,18 +362,40 @@ class _EnergyModel:
 
 
 _NEWTON_TOL = 1e-8        # sup-norm update that ends the iteration
+_CHORD_CONTRACTION = 0.1  # largest chord step over the last update
 _NEWTON_MAX_ITER = 500
+
+
+class _HessianFactors:
+    """SuperLU factors of the equilibrated interior Hessian at one iterate,
+    with the log scale the Hessian was normalized at."""
+
+    def __init__(self, model: _EnergyModel, ev: _GaussValues, k: float,
+                 iteration: int):
+        try:
+            self.lu, self.s = model.pattern.factor(
+                model.hessian(ev, ev.log_scale))
+        except RuntimeError as exc:
+            raise FactorizationError(k, iteration, str(exc)) from exc
+        self.log_scale = ev.log_scale
+
+    def direction(self, grad: np.ndarray, log_scale: float) -> np.ndarray:
+        """-H^(-1) grad for an interior gradient normalized at ``log_scale``.
+
+        Energy, gradient and Hessian all carry the factor exp(-log_scale),
+        so factors built at another scale are rescaled by the difference.
+        """
+        return (math.exp(log_scale - self.log_scale)
+                * (self.s * self.lu.solve(self.s * -grad)))
 
 
 def _newton_direction(model: _EnergyModel, ev: _GaussValues, k: float,
                       iteration: int) -> tuple[np.ndarray, np.ndarray]:
-    """Interior energy gradient and the Newton direction at ev.u."""
+    """Interior energy gradient and the Newton direction at ev.u, from a
+    fresh factorization."""
     grad = model.gradient(ev, ev.log_scale)[model.interior]
-    try:
-        lu, s = model.pattern.factor(model.hessian(ev, ev.log_scale))
-    except RuntimeError as exc:
-        raise FactorizationError(k, iteration, str(exc)) from exc
-    return grad, s * lu.solve(s * -grad)
+    return grad, _HessianFactors(model, ev, k, iteration).direction(
+        grad, ev.log_scale)
 
 
 def harmonic_extension(grid: Grid2D, frame: FrameField,
@@ -391,23 +420,37 @@ def solve_pk(spec: ProblemSpec, k: float,
     Newton with an Armijo line search on the convex regularized energy,
     from ``init`` or the harmonic extension of f.  Energy, gradient and
     Hessian are jointly normalized in log space so k = 64 fits in double
-    precision.  Each iteration factors the Hessian once; the iteration
-    ends when an update falls below ``_NEWTON_TOL`` or the predicted
-    decrease reaches rounding in the energy, and raises
-    :class:`NewtonStall` after ``_NEWTON_MAX_ITER`` iterations or a
-    failed line search.
+    precision.  After a full step the last Hessian factors are reused (a
+    chord step, Kelley, *Solving Nonlinear Equations with Newton's Method*,
+    SIAM 2003, ch. 5.4) if their direction descends and is at most
+    ``_CHORD_CONTRACTION`` times the last update; otherwise, and at the
+    start of every k, the Hessian is factored at the iterate.  The
+    iteration ends when an update falls below ``_NEWTON_TOL`` or the
+    predicted decrease of a fresh Newton step reaches rounding in the
+    energy, and raises :class:`NewtonStall` after ``_NEWTON_MAX_ITER``
+    iterations or a failed line search.
     """
     u = (np.asarray(init, dtype=float).copy() if init is not None
          else harmonic_extension(spec.grid, spec.frame, spec.f))
     model = _EnergyModel(spec, k)
     interior = model.interior
     history: list[float] = []
+    factors, alpha, factorizations = None, 0.0, 0
     ev = model.evaluate(u)
     while True:
         if len(history) >= _NEWTON_MAX_ITER:
             raise NewtonStall(k, history)
         logs = ev.log_scale
-        grad, d = _newton_direction(model, ev, k, len(history))
+        grad = model.gradient(ev, logs)[interior]
+        d = factors.direction(grad, logs) if alpha == 1.0 else None
+        # a chord step must descend and contract the last update
+        fresh = d is None or not (float(grad @ d) < 0.0 and float(
+            np.max(np.abs(d))) <= _CHORD_CONTRACTION * history[-1])
+        if fresh:
+            factors = None      # free the old factors before factoring anew
+            factors = _HessianFactors(model, ev, k, len(history))
+            factorizations += 1
+            d = factors.direction(grad, logs)
         slope = float(grad @ d)
         if not slope < 0.0:
             # numerically indefinite step; fall back to steepest descent
@@ -415,8 +458,8 @@ def solve_pk(spec: ProblemSpec, k: float,
             slope = -float(grad @ grad)
         phi0 = model.energy(ev, logs)
         # once the predicted decrease falls below rounding in the energy,
-        # the line search cannot tell the full step from noise: take it
-        # and stop, the minimizer is resolved
+        # the line search cannot tell the full step from noise: take it,
+        # and after a fresh Newton step stop, the minimizer is resolved
         floor = -slope <= 16.0 * np.finfo(float).eps * max(abs(phi0), 1e-300)
         # keep the first trial step commensurate with the data scale; the
         # full Newton step is always tried once |d| is moderate
@@ -434,7 +477,7 @@ def solve_pk(spec: ProblemSpec, k: float,
             raise NewtonStall(k, history + [alpha * dmax])
         history.append(alpha * dmax)
         u = u_try          # ev now holds the evaluation at u
-        if floor or history[-1] < _NEWTON_TOL:
+        if floor and fresh or history[-1] < _NEWTON_TOL:
             break
 
     # weak residual of the final iterate in the normalized energy gradient
@@ -443,6 +486,7 @@ def solve_pk(spec: ProblemSpec, k: float,
     scale = np.linalg.norm(model.load(logs)[interior])
     weak = float(np.linalg.norm(resid) / (scale if scale > 0 else 1.0))
     return u, PkStats(k=k, iterations=len(history),
+                      factorizations=factorizations,
                       final_update=history[-1], weak_residual=weak)
 
 

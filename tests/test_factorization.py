@@ -1,9 +1,11 @@
 """The Newton Hessian's factorization: every call goes through
-``solvers.splu`` in the pattern's own nested-dissection order, that order
-fills no more than SuperLU's minimum degree, and symmetric mode agrees
-with partial pivoting."""
+``solvers.splu`` in the pattern's own nested-dissection order, a
+continuation reuses factors while its steps contract and still ends each
+k at a resolved minimizer, that order fills no more than SuperLU's minimum
+degree, and symmetric mode agrees with partial pivoting."""
 
 import numpy as np
+import pytest
 from scipy.sparse.linalg import splu
 
 from infxlap import solvers
@@ -21,9 +23,9 @@ def varframe_spec(n=17):
                        config=SolverConfig(polish_sweeps=0))
 
 
-def test_every_factorization_goes_through_solvers_splu(monkeypatch):
-    # the benchmark times factorizations by wrapping this module attribute;
-    # a call that bypasses it would read as no factorization time at all
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """The permc_spec of every call through ``solvers.splu``."""
     calls = []
     real = solvers.splu
 
@@ -32,11 +34,62 @@ def test_every_factorization_goes_through_solvers_splu(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "splu", counting)
+    return calls
+
+
+def test_every_factorization_goes_through_solvers_splu(splu_calls):
+    # the benchmark times factorizations by wrapping this module attribute;
+    # a call that bypasses it would read as no factorization time at all
+    _, report = solvers.continue_k(varframe_spec())
+    factored = sum(s.factorizations for s in report.per_k)
+    # one for the harmonic start, then the ones each k reports, each in the
+    # pattern's nested-dissection numbering
+    assert splu_calls == ["NATURAL"] * (1 + factored)
+
+
+def test_continuation_reuses_factorizations(splu_calls):
     _, report = solvers.continue_k(varframe_spec())
     newton = sum(s.iterations for s in report.per_k)
-    # one for the harmonic start, then one per Newton step, each in the
-    # pattern's nested-dissection numbering
-    assert calls == ["NATURAL"] * (1 + newton)
+    # 13 with the harmonic start; one per Newton step made it 26
+    assert len(splu_calls) < newton
+    assert len(splu_calls) <= 13
+
+
+def test_report_prints_factorizations():
+    _, report = solvers.continue_k(varframe_spec())
+    for line, s in zip(report.format().splitlines()[1:], report.per_k):
+        assert (f"iterations={s.iterations:<4d} "
+                f"factorizations={s.factorizations:<4d} ") in line
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_each_stage_ends_at_a_resolved_minimizer(n):
+    # chord steps must not end a k early: one fresh Newton step from each
+    # returned field is below the tolerance that ends the iteration
+    spec = varframe_spec(n)
+    u = solvers.harmonic_extension(spec.grid, spec.frame, spec.f)
+    for k in spec.config.k_schedule:
+        u, _ = solvers.solve_pk(spec, k, init=u)
+        model = _EnergyModel(spec, k)
+        _, d = solvers._newton_direction(model, model.evaluate(u), k, 0)
+        assert np.max(np.abs(d)) <= solvers._NEWTON_TOL, k
+
+
+def test_reused_factors_follow_the_gradient_scale():
+    # energy, gradient and Hessian are normalized by exp(-log_scale) at
+    # each iterate; factors reused at another scale must give the same
+    # Newton direction
+    spec = varframe_spec()
+    model = _EnergyModel(spec, 64.0)
+    ev = model.evaluate(solvers.harmonic_extension(spec.grid, spec.frame,
+                                                   spec.f))
+    factors = solvers._HessianFactors(model, ev, 64.0, 0)
+    _, d = solvers._newton_direction(model, ev, 64.0, 0)
+    for shift in (-4.0, 3.0):
+        logs = ev.log_scale + shift
+        grad = model.gradient(ev, logs)[model.interior]
+        assert np.allclose(factors.direction(grad, logs), d,
+                           rtol=1e-12, atol=0.0)
 
 
 def k64_hessian(n):
