@@ -73,11 +73,8 @@ def load_problem(path: str | Path) -> ProblemSpec:
 
     cfg_kwargs = {}
     if cp.has_section("solver"):
-        conv = {
-            "k_schedule": lambda s: tuple(float(t) for t in s.split(",")),
-            "delta_reg": float, "continuation_tol": float,
-            "polish_sweeps": int, "p_min": float, "det_floor": float,
-        }
+        conv = {"k_schedule": lambda s: tuple(float(t) for t in s.split(",")),
+                "continuation_tol": float, "polish_sweeps": int}
         for key in cp.options("solver"):
             if key not in conv:
                 raise ConfigError(f"unknown key solver.{key}")
@@ -94,7 +91,7 @@ def load_problem(path: str | Path) -> ProblemSpec:
     exprs = {key: _parse_expr("frame", key, _get(cp, "frame", key))
              for key in ("a11", "a12", "a21", "a22")}
     frame = sample_frame(exprs["a11"], exprs["a12"], exprs["a21"], exprs["a22"],
-                         grid, det_floor=config.det_floor)
+                         grid)
 
     p_expr = _parse_expr("exponent", "p", _get(cp, "exponent", "p"))
     try:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_DET_FLOOR = 1e-10   # smallest |det A| a frame may have at a node
+
 
 class GridError(ValueError):
     """Invalid grid geometry."""
@@ -126,28 +128,27 @@ class FrameField:
         return make_frame(self.grid, c * self.a)
 
 
-def make_frame(grid: Grid2D, a: np.ndarray, det_floor: float = 1e-10) -> FrameField:
+def make_frame(grid: Grid2D, a: np.ndarray) -> FrameField:
     """Wrap per-node matrices, checking invertibility."""
     a = np.asarray(a, dtype=float)
     if a.shape != (grid.ny, grid.nx, 2, 2):
         raise ValueError(f"frame array must have shape {(grid.ny, grid.nx, 2, 2)}")
     det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    bad = np.abs(det) < det_floor
+    bad = np.abs(det) < _DET_FLOOR
     if np.any(bad):
         j, i = np.argwhere(bad)[0]
         raise FrameSingular(int(i), int(j), grid.xs[i], grid.ys[j], float(det[j, i]))
     return FrameField(grid=grid, a=a)
 
 
-def sample_frame(a11, a12, a21, a22, grid: Grid2D,
-                 det_floor: float = 1e-10) -> FrameField:
+def sample_frame(a11, a12, a21, a22, grid: Grid2D) -> FrameField:
     """Sample four entry expressions a_ij(x, y) into a FrameField."""
     a = np.empty((grid.ny, grid.nx, 2, 2))
     a[..., 0, 0] = grid.sample(a11)
     a[..., 0, 1] = grid.sample(a12)
     a[..., 1, 0] = grid.sample(a21)
     a[..., 1, 1] = grid.sample(a22)
-    return make_frame(grid, a, det_floor)
+    return make_frame(grid, a)
 
 
 def identity_frame(grid: Grid2D) -> FrameField:

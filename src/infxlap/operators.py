@@ -239,11 +239,6 @@ def infinity_x_residual_field(u: np.ndarray, frame: FrameField,
     return ResidualKernel(frame, p, delta_log)(u)
 
 
-def gradient_norm_sq_field(u: np.ndarray, frame: FrameField) -> np.ndarray:
-    g = riemannian_gradient(u, frame)
-    return g[..., 0] ** 2 + g[..., 1] ** 2
-
-
 def min_form_residual(u: np.ndarray, frame: FrameField, p: np.ndarray,
                       eps: float) -> np.ndarray:
     """min{ ||D_X u||^2 - eps, -Delta_{X,infinity(x)} u } (interior)."""

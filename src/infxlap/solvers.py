@@ -11,10 +11,10 @@ The energy is evaluated over bilinear elements (2x2 Gauss points,
 coefficients interpolated from the nodes), once per iterate.  Its Hessian
 is symmetric positive definite, reproduces linear fields exactly, and (for
 the unit frame at kp = 2) annihilates the harmonic polynomial x^2 - y^2
-exactly.  A Newton step factors the equilibrated interior block with
-SuperLU in symmetric mode, in the grid's nested-dissection numbering, or
-reuses the last factors while the steps contract (chord steps); the polish
-factors its Jacobian in a minimum-degree order.
+exactly.  One Newton routine runs both stages, the continuation and the
+polish, and reuses the last factors while the steps contract (chord steps):
+SuperLU factors the Hessian's equilibrated interior block in symmetric mode
+in the grid's nested-dissection numbering, the Jacobian in minimum degree.
 """
 
 from __future__ import annotations
@@ -34,45 +34,43 @@ from .grid import FrameField, Grid2D
 # solvers.infinity_x_residual_field
 from .operators import ResidualKernel, infinity_x_residual_field  # noqa: F401
 
+_P_MIN = 2.0        # smallest exponent p(x) a problem may sample
+
 
 class SolverError(RuntimeError):
     """Inner or outer iteration failed."""
 
 
-class FactorizationError(SolverError):
-    def __init__(self, k: float, iteration: int, message: str):
-        super().__init__(f"SuperLU could not factor the Newton Hessian at "
-                         f"k={k:g} (iteration {iteration}): {message}")
-        self.k, self.iteration, self.message = k, iteration, message
-
-
 class NewtonStall(SolverError):
-    def __init__(self, k: float, history: list[float]):
-        super().__init__(
-            f"Newton iteration did not converge at k={k:g} "
-            f"(last update {history[-1]:.3e} after {len(history)} iterations)"
-        )
-        self.k = k
-        self.history = history
+    """A Newton iteration stopped for ``reason`` at ``k`` (None in the
+    polish); ``u`` is its last iterate, ``history`` its step lengths."""
+
+    def __init__(self, model, reason: str, u: np.ndarray,
+                 history: list[float]):
+        last = f", last update {history[-1]:.3e}" if history else ""
+        super().__init__(f"Newton iteration ({model.stage}) stopped after "
+                         f"{len(history)} steps: {reason}{last}")
+        self.k, self.reason, self.u, self.history = model.k, reason, u, history
+        self.iteration = len(history)
+
+
+class FactorizationError(NewtonStall):
+    """SuperLU could not factor the stage's matrix at ``u``."""
 
 
 @dataclass
 class SolverConfig:
-    """Settings of the continuation, the polish and problem validation."""
+    """Settings of the continuation and the polish."""
 
     k_schedule: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-    delta_reg: float = 1e-8        # gradient regularization inside weights
     continuation_tol: float = 1e-4  # sup-norm gap between successive k
     polish_sweeps: int = 20        # cap on global Newton steps at eps = 0
-    p_min: float = 2.0
-    det_floor: float = 1e-10
 
     def __post_init__(self):
         if not all(b > a for a, b in zip(self.k_schedule, self.k_schedule[1:])):
             raise ValueError("k_schedule must be strictly increasing")
-        for name in ("delta_reg", "continuation_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.continuation_tol <= 0:
+            raise ValueError("continuation_tol must be positive")
         if self.polish_sweeps < 0:
             raise ValueError("polish_sweeps must be >= 0 (0 skips the polish)")
 
@@ -89,9 +87,9 @@ class ProblemSpec:
     config: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if np.any(self.p < self.config.p_min):
+        if np.any(self.p < _P_MIN):
             raise ValueError(
-                f"exponent below p_min={self.config.p_min:g} "
+                f"exponent below p_min={_P_MIN:g} "
                 f"(min sampled p = {np.min(self.p):g})"
             )
         bmask = self.grid.boundary_mask()
@@ -118,6 +116,7 @@ class SolveReport:
     polish_accepted: bool | None = None
     polish_stop: str | None = None
     polish_steps: int = 0
+    polish_factorizations: int = 0
     polish_worst: tuple[int, int] | None = None   # (i, j) of the last iterate
 
     def format(self) -> str:
@@ -129,15 +128,15 @@ class SolveReport:
                 f"final_update={s.final_update:.3e} "
                 f"weak_residual={s.weak_residual:.3e}"
             )
-        for (a, b), gap in zip(zip([s.k for s in self.per_k],
-                                   [s.k for s in self.per_k][1:]), self.gaps):
-            lines.append(f"  gap |u_{b:g} - u_{a:g}|_sup = {gap:.3e}")
+        for a, b, gap in zip(self.per_k, self.per_k[1:], self.gaps):
+            lines.append(f"  gap |u_{b.k:g} - u_{a.k:g}|_sup = {gap:.3e}")
         if self.polish_initial is not None:
             i, j = self.polish_worst
             lines.append(
                 f"  polish: residual sup {self.polish_initial:.3e} -> "
                 f"{self.polish_final:.3e} after {self.polish_steps} Newton "
-                f"steps, worst node (i={i}, j={j}): {self.polish_stop} "
+                f"steps ({self.polish_factorizations} factorizations), "
+                f"worst node (i={i}, j={j}): {self.polish_stop} "
                 f"({'accepted' if self.polish_accepted else 'rejected'})"
             )
         lines.append(f"  wall_time = {self.wall_time:.2f} s")
@@ -263,6 +262,7 @@ def _interior_pattern(grid: Grid2D) -> _InteriorPattern:
 # ---------------------------------------------------------------------------
 
 _EXP_LIMIT = 700.0  # exponent guard after normalization (double overflow)
+_DELTA_REG = 1e-8   # gradient regularization inside the energy weights
 
 
 def _jensen_magnitude(eps: float, kp: np.ndarray,
@@ -297,6 +297,8 @@ class _EnergyModel:
     """
 
     def __init__(self, spec: ProblemSpec, k: float):
+        self.k, self.stage = k, f"kp(x)-energy Hessian at k={k:g}"
+        self.factorizations = 0
         self.grid = grid = spec.grid
         pat = self.pattern = _interior_pattern(grid)
         self.gidx, self.interior = pat.gidx, pat.interior
@@ -304,7 +306,7 @@ class _EnergyModel:
         self.tq = _interp_gp(_frame_metric_pack(spec.frame), self.gidx)
         self.kp_nodal = k * np.asarray(spec.p, dtype=float)
         self.kpq = _interp_gp(self.kp_nodal, self.gidx)
-        self.delta2 = spec.config.delta_reg ** 2
+        self.delta2 = _DELTA_REG ** 2
         self.eps = spec.epsilon
         # interior cell areas carrying the sign of eps, 0.0 on the boundary
         area = grid.hx * grid.hy
@@ -360,42 +362,100 @@ class _EnergyModel:
                        m * t[..., 2] + mp * f1 * f1], axis=-1)
         return self.pattern.assemble(cq.reshape(-1, 12) @ self.pattern.basis)
 
+    # as a model for _newton: the merit is the energy and the residual its
+    # interior gradient, each normalized at the reference iterate's scale
+    def residual(self, ev: _GaussValues) -> np.ndarray:
+        return self.gradient(ev, ev.log_scale)[self.interior]
 
-_NEWTON_TOL = 1e-8        # sup-norm update that ends the iteration
+    def merit(self, ev: _GaussValues, ref: _GaussValues) -> float:
+        return self.energy(ev, ref.log_scale)
+
+    def slope(self, grad: np.ndarray, d: np.ndarray) -> float:
+        return float(grad @ d)
+
+    def solved(self, ev: _GaussValues, update: float) -> bool:
+        return update < _NEWTON_TOL
+
+    def factor(self, ev: _GaussValues):
+        """Direction solver from the SuperLU factors of the equilibrated
+        Hessian at ev; it keeps no Gauss-point values alive."""
+        lu, s = self.pattern.factor(self.hessian(ev, ev.log_scale))
+        logs, self.factorizations = ev.log_scale, self.factorizations + 1
+        # energy, gradient and Hessian all carry exp(-log_scale), so
+        # factors built at another scale are rescaled by the difference
+        return lambda grad, at: (math.exp(at.log_scale - logs)
+                                 * (s * lu.solve(s * -grad)))
+
+
+_NEWTON_TOL = 1e-8        # sup-norm update that ends the continuation
+_POLISH_TOL = 1e-9        # interior residual sup-norm that ends the polish
 _CHORD_CONTRACTION = 0.1  # largest chord step over the last update
 _NEWTON_MAX_ITER = 500
 
 
-class _HessianFactors:
-    """SuperLU factors of the equilibrated interior Hessian at one iterate,
-    with the log scale the Hessian was normalized at."""
-
-    def __init__(self, model: _EnergyModel, ev: _GaussValues, k: float,
-                 iteration: int):
-        try:
-            self.lu, self.s = model.pattern.factor(
-                model.hessian(ev, ev.log_scale))
-        except RuntimeError as exc:
-            raise FactorizationError(k, iteration, str(exc)) from exc
-        self.log_scale = ev.log_scale
-
-    def direction(self, grad: np.ndarray, log_scale: float) -> np.ndarray:
-        """-H^(-1) grad for an interior gradient normalized at ``log_scale``.
-
-        Energy, gradient and Hessian all carry the factor exp(-log_scale),
-        so factors built at another scale are rescaled by the difference.
-        """
-        return (math.exp(log_scale - self.log_scale)
-                * (self.s * self.lu.solve(self.s * -grad)))
+def _factor(model, state, history=()):
+    """``model.factor(state)``, raising :class:`FactorizationError`."""
+    try:
+        return model.factor(state)
+    except RuntimeError as exc:
+        raise FactorizationError(model, "factorization failed: SuperLU could"
+                                 f" not factor the {model.stage}: {exc}",
+                                 state.u, list(history)) from exc
 
 
-def _newton_direction(model: _EnergyModel, ev: _GaussValues, k: float,
-                      iteration: int) -> tuple[np.ndarray, np.ndarray]:
-    """Interior energy gradient and the Newton direction at ev.u, from a
-    fresh factorization."""
-    grad = model.gradient(ev, ev.log_scale)[model.interior]
-    return grad, _HessianFactors(model, ev, k, iteration).direction(
-        grad, ev.log_scale)
+def _newton(model, u: np.ndarray, max_steps: int):
+    """Newton with an Armijo line search on ``model``'s merit, from u.
+
+    ``model.factor(state)`` returns a direction solver ``(g, state) -> d``
+    for ``g = model.residual(state)``; ``merit(state, ref)`` is normalized
+    at ref and has the derivative ``slope(g, d)`` along d.  After a full
+    step the last factors are reused (a chord step, Kelley, *Solving
+    Nonlinear Equations with Newton's Method*, SIAM 2003, ch. 5.4) if their
+    direction descends and is at most ``_CHORD_CONTRACTION`` times the last
+    update.  Returns (state, step lengths) once ``model.solved(state, last
+    update)`` or at the rounding floor of a fresh step.
+    """
+    state, history, factors, full = model.evaluate(u), [], None, False
+    while not model.solved(state, history[-1] if history else math.inf):
+        if len(history) >= max_steps:
+            raise NewtonStall(model, "step cap", state.u, history)
+        g = model.residual(state)
+        d = factors(g, state) if full else None
+        # a chord step must descend and contract the last update
+        fresh = d is None or not (model.slope(g, d) < 0.0 and float(
+            np.max(np.abs(d))) <= _CHORD_CONTRACTION * history[-1])
+        if fresh:
+            factors = None      # free the old factors before factoring anew
+            factors = _factor(model, state, history)
+            d = factors(g, state)
+        slope = model.slope(g, d)
+        if not slope < 0.0:
+            raise NewtonStall(model, "no descent direction", state.u, history)
+        phi0 = model.merit(state, state)
+        # once the predicted decrease falls below rounding in the merit,
+        # the line search cannot tell the full step from noise: take it,
+        # and after a fresh Newton step stop, the solution is resolved
+        floor = -slope <= 16.0 * np.finfo(float).eps * max(abs(phi0), 1e-300)
+        # keep the first trial step commensurate with the data scale; the
+        # full Newton step is always tried once |d| is moderate
+        step_cap = 10.0 * max(1.0, float(np.ptp(state.u)))
+        dmax = float(np.max(np.abs(d)))
+        alpha = 1.0 if floor or dmax == 0 else min(1.0, step_cap / dmax)
+        for _ in range(60):
+            u_try = state.u.copy()
+            u_try.ravel()[model.interior] += alpha * d
+            trial = model.evaluate(u_try)
+            if floor or (model.merit(trial, state)
+                         <= phi0 + 1e-4 * alpha * slope):
+                break
+            alpha *= 0.5
+        else:
+            raise NewtonStall(model, "line search failed", state.u, history)
+        history.append(alpha * dmax)
+        state, full = trial, alpha == 1.0
+        if floor and fresh:
+            break
+    return state, history
 
 
 def harmonic_extension(grid: Grid2D, frame: FrameField,
@@ -408,86 +468,28 @@ def harmonic_extension(grid: Grid2D, frame: FrameField,
     u = np.where(grid.interior_mask(), 0.0, np.asarray(f, dtype=float))
     model = _EnergyModel(ProblemSpec(grid=grid, frame=frame, f=u,
                                      p=np.full(grid.shape, 2.0)), 1.0)
-    _, d = _newton_direction(model, model.evaluate(u), 1.0, 0)
-    u.ravel()[model.interior] += d
+    ev = model.evaluate(u)
+    u.ravel()[model.interior] += _factor(model, ev)(model.residual(ev), ev)
     return u
 
 
 def solve_pk(spec: ProblemSpec, k: float,
              init: np.ndarray | None = None) -> tuple[np.ndarray, PkStats]:
-    """Solve -Delta_{X,kp(x)} u = eps^{kp(x)-1}, u = f on the boundary.
-
-    Newton with an Armijo line search on the convex regularized energy,
-    from ``init`` or the harmonic extension of f.  Energy, gradient and
-    Hessian are jointly normalized in log space so k = 64 fits in double
-    precision.  After a full step the last Hessian factors are reused (a
-    chord step, Kelley, *Solving Nonlinear Equations with Newton's Method*,
-    SIAM 2003, ch. 5.4) if their direction descends and is at most
-    ``_CHORD_CONTRACTION`` times the last update; otherwise, and at the
-    start of every k, the Hessian is factored at the iterate.  The
-    iteration ends when an update falls below ``_NEWTON_TOL`` or the
-    predicted decrease of a fresh Newton step reaches rounding in the
-    energy, and raises :class:`NewtonStall` after ``_NEWTON_MAX_ITER``
-    iterations or a failed line search.
+    """Solve -Delta_{X,kp(x)} u = eps^{kp(x)-1}, u = f on the boundary, by
+    :func:`_newton` on the convex regularized energy from ``init`` or the
+    harmonic extension of f, until an update falls below ``_NEWTON_TOL``.
     """
     u = (np.asarray(init, dtype=float).copy() if init is not None
          else harmonic_extension(spec.grid, spec.frame, spec.f))
     model = _EnergyModel(spec, k)
-    interior = model.interior
-    history: list[float] = []
-    factors, alpha, factorizations = None, 0.0, 0
-    ev = model.evaluate(u)
-    while True:
-        if len(history) >= _NEWTON_MAX_ITER:
-            raise NewtonStall(k, history)
-        logs = ev.log_scale
-        grad = model.gradient(ev, logs)[interior]
-        d = factors.direction(grad, logs) if alpha == 1.0 else None
-        # a chord step must descend and contract the last update
-        fresh = d is None or not (float(grad @ d) < 0.0 and float(
-            np.max(np.abs(d))) <= _CHORD_CONTRACTION * history[-1])
-        if fresh:
-            factors = None      # free the old factors before factoring anew
-            factors = _HessianFactors(model, ev, k, len(history))
-            factorizations += 1
-            d = factors.direction(grad, logs)
-        slope = float(grad @ d)
-        if not slope < 0.0:
-            # numerically indefinite step; fall back to steepest descent
-            d = -grad
-            slope = -float(grad @ grad)
-        phi0 = model.energy(ev, logs)
-        # once the predicted decrease falls below rounding in the energy,
-        # the line search cannot tell the full step from noise: take it,
-        # and after a fresh Newton step stop, the minimizer is resolved
-        floor = -slope <= 16.0 * np.finfo(float).eps * max(abs(phi0), 1e-300)
-        # keep the first trial step commensurate with the data scale; the
-        # full Newton step is always tried once |d| is moderate
-        step_cap = 10.0 * max(1.0, float(np.ptp(u)))
-        dmax = float(np.max(np.abs(d)))
-        alpha = 1.0 if floor or dmax == 0 else min(1.0, step_cap / dmax)
-        for _ in range(60):
-            u_try = u.copy()
-            u_try.ravel()[interior] += alpha * d
-            ev = model.evaluate(u_try)
-            if floor or model.energy(ev, logs) <= phi0 + 1e-4 * alpha * slope:
-                break
-            alpha *= 0.5
-        else:
-            raise NewtonStall(k, history + [alpha * dmax])
-        history.append(alpha * dmax)
-        u = u_try          # ev now holds the evaluation at u
-        if floor and fresh or history[-1] < _NEWTON_TOL:
-            break
-
+    ev, history = _newton(model, u, _NEWTON_MAX_ITER)
     # weak residual of the final iterate in the normalized energy gradient
-    logs = ev.log_scale
-    resid = model.gradient(ev, logs)[interior]
-    scale = np.linalg.norm(model.load(logs)[interior])
-    weak = float(np.linalg.norm(resid) / (scale if scale > 0 else 1.0))
-    return u, PkStats(k=k, iterations=len(history),
-                      factorizations=factorizations,
-                      final_update=history[-1], weak_residual=weak)
+    scale = np.linalg.norm(model.load(ev.log_scale)[model.interior])
+    weak = float(np.linalg.norm(model.residual(ev))
+                 / (scale if scale > 0 else 1.0))
+    return ev.u, PkStats(k=k, iterations=len(history),
+                         factorizations=model.factorizations,
+                         final_update=history[-1], weak_residual=weak)
 
 
 def continue_k(spec: ProblemSpec,
@@ -505,10 +507,7 @@ def continue_k(spec: ProblemSpec,
     if not cfg.k_schedule:
         raise ValueError("empty k schedule")
     t0 = time.perf_counter()
-    report = SolveReport()
-    u = (np.asarray(init, dtype=float).copy() if init is not None
-         else harmonic_extension(spec.grid, spec.frame, spec.f))
-    prev = None
+    report, u, prev = SolveReport(), init, None
     for k in cfg.k_schedule:
         u, stats = solve_pk(spec, k, init=u)
         report.per_k.append(stats)
@@ -522,55 +521,69 @@ def continue_k(spec: ProblemSpec,
     return u, report
 
 
-_POLISH_TOL = 1e-9        # interior residual sup-norm that ends the polish
+class _PolishModel:
+    """The discrete infinity(x)-equation r(u) = 0 as a model for
+    :func:`_newton`.  The merit is ||r||_2, whose slope along the Newton
+    direction is -||r||_2, so Armijo asks ||r_new|| <= (1 - 1e-4 a)||r||.
+    """
+
+    k, stage, factorizations = None, "infinity(x)-equation Jacobian", 0
+    State = namedtuple("State", "u r")      # r: interior, row-major
+
+    def __init__(self, frame: FrameField, p: np.ndarray):
+        self.kernel = ResidualKernel(frame, p)
+        self.interior = np.flatnonzero(frame.grid.interior_mask())
+
+    def evaluate(self, u: np.ndarray) -> State:
+        return self.State(u, self.kernel.jets(u)[0].ravel())
+
+    def residual(self, state: State) -> np.ndarray:
+        return state.r
+
+    def merit(self, state: State, ref: State) -> float:
+        return float(np.linalg.norm(state.r))
+
+    def slope(self, r: np.ndarray, d: np.ndarray) -> float:
+        return -float(np.linalg.norm(r))
+
+    def solved(self, state: State, update: float) -> bool:
+        return float(np.max(np.abs(state.r))) < _POLISH_TOL
+
+    def factor(self, state: State):
+        # a minimum-degree order on J + J^t with a weak pivot threshold
+        # has ~40 % less fill than COLAMD and factors twice as fast
+        lu = splu(self.kernel.jacobian(state.u), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.01)
+        self.factorizations += 1
+        return lambda r, at: -lu.solve(r)
 
 
 def _polish_newton(u0: np.ndarray, frame: FrameField, p: np.ndarray,
                    sweeps: int, report: SolveReport | None = None
                    ) -> tuple[np.ndarray, float, float, bool]:
-    """At most ``sweeps`` Newton steps on the interior infinity(x) residual,
-    each backtracking on ||r||_2 from the analytic Jacobian.
-
-    Accepted once sup |r| < ``_POLISH_TOL``; otherwise (step cap, failed
-    line search or factorization) ``u0`` comes back unchanged.  Returns
-    (field, initial sup, last iterate's sup, accepted) and records the
-    steps, the last iterate's worst node and the stop reason in ``report``.
-    """
-    kernel = ResidualKernel(frame, p)
-    u, r = u0, kernel.jets(u0)[0]
-    initial, steps, stop = float(np.max(np.abs(r))), 0, "step cap"
-    while np.max(np.abs(r)) >= _POLISH_TOL:
-        if steps == sweeps:
-            break
-        try:
-            # a minimum-degree order on J + J^t with a weak pivot threshold
-            # has ~40 % less fill than COLAMD and factors twice as fast
-            lu = splu(kernel.jacobian(u), permc_spec="MMD_AT_PLUS_A",
-                      diag_pivot_thresh=0.01)
-        except RuntimeError as exc:
-            stop = f"factorization failed: {exc}"
-            break
-        du, norm = lu.solve(r.ravel()).reshape(r.shape), np.linalg.norm(r)
-        for t in 0.5 ** np.arange(20):
-            v = u.copy()
-            v[1:-1, 1:-1] -= t * du
-            rv = kernel.jets(v)[0]
-            if np.linalg.norm(rv) <= (1.0 - 1e-4 * t) * norm:
-                break
-        else:
-            stop = "line search failed"
-            break
-        u, r, steps = v, rv, steps + 1
-    else:
+    """At most ``sweeps`` steps (chord steps count) of :func:`_newton` on
+    the interior infinity(x) residual, accepted once sup |r| < _POLISH_TOL;
+    on a stop (step cap, failed line search or factorization) ``u0`` comes
+    back.  Returns (field, initial sup, last iterate's sup, accepted);
+    ``report`` gets the steps, factorizations, stop reason and the last
+    iterate's worst node."""
+    model = _PolishModel(frame, p)
+    initial = float(np.max(np.abs(model.evaluate(u0).r)))
+    try:
+        state, history = _newton(model, u0, sweeps)
         stop = "converged"
-    accepted, final = stop == "converged", float(np.max(np.abs(r)))
+    except NewtonStall as exc:
+        state, history, stop = model.evaluate(exc.u), exc.history, exc.reason
+    accepted, final = stop == "converged", float(np.max(np.abs(state.r)))
     if report is not None:
-        jj, ii = np.unravel_index(np.argmax(np.abs(r)), r.shape)
+        jj, ii = np.unravel_index(np.argmax(np.abs(state.r)),
+                                  np.subtract(u0.shape, 2))
         report.polish_worst = (int(ii) + 1, int(jj) + 1)
         report.polish_initial, report.polish_final = initial, final
         report.polish_accepted, report.polish_stop = accepted, stop
-        report.polish_steps = steps
-    return (u if accepted else u0), initial, final, accepted
+        report.polish_steps = len(history)
+        report.polish_factorizations = model.factorizations
+    return (state.u if accepted else u0), initial, final, accepted
 
 
 def solve_dirichlet_infinity(spec: ProblemSpec,

@@ -8,6 +8,7 @@ worst-case node so failures are debuggable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,23 +176,18 @@ def uniqueness_probe(spec: ProblemSpec, n_inits: int = 3,
     sy = (Y - grid.ymin) / (grid.ymax - grid.ymin)
     bump_shape = np.sin(np.pi * sx) * np.sin(np.pi * sy)
 
-    inits = [harmonic_extension(grid, frame, f)]
-    if n_inits >= 2:
-        const = np.full(grid.shape, float(np.mean(f[bmask])))
-        const[bmask] = f[bmask]
-        inits.append(const)
-    base = inits[0]
+    const = np.full(grid.shape, float(np.mean(f[bmask])))
+    const[bmask] = f[bmask]
+    inits = [harmonic_extension(grid, frame, f), const]
     scale = max(float(np.ptp(f[bmask])), 1.0)
     while len(inits) < n_inits:
         amp = 0.1 * scale * (1.0 + rng.random())
-        inits.append(base + amp * bump_shape)
+        inits.append(inits[0] + amp * bump_shape)
 
     solve = solve_dirichlet_infinity if spec.epsilon == 0.0 else continue_k
     solutions = [solve(spec, init=w)[0] for w in inits]
-    worst = 0.0
-    for i in range(len(solutions)):
-        for j in range(i + 1, len(solutions)):
-            worst = max(worst, float(np.max(np.abs(solutions[i] - solutions[j]))))
+    worst = max(float(np.max(np.abs(a - b)))
+                for a, b in itertools.combinations(solutions, 2))
     return CheckReport(name="uniqueness probe", passed=worst < tol,
                        worst_value=worst, tol=tol,
                        stats={"n_inits": n_inits})
@@ -203,9 +199,7 @@ def eikonal_check(d: np.ndarray, frame: FrameField,
     g = riemannian_gradient(d, frame)
     n = np.sqrt(g[..., 0] ** 2 + g[..., 1] ** 2)
     dev = np.abs(n - 1.0)
-    sel = (d > exclusion_radius)
-    sel[0, :] = sel[-1, :] = False
-    sel[:, 0] = sel[:, -1] = False
+    sel = (d > exclusion_radius) & frame.grid.interior_mask()
     if not np.any(sel):
         return CheckReport(name="eikonal", passed=False, worst_value=np.inf,
                            tol=tol, applicable=False,

@@ -90,10 +90,11 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize("key", ["damping", "picard_tol",
                                      "picard_max_iter", "cg_tol",
-                                     "cg_max_iter"])
+                                     "cg_max_iter", "delta_reg", "p_min",
+                                     "det_floor"])
     def test_removed_solver_key(self, tmp_path, key):
         # settings of the lagged-coefficient warm-up and the CG solve,
-        # which Newton replaced
+        # which Newton replaced, and fixed constants no problem set
         extra = f"\n[solver]\n{key} = 1\n"
         with pytest.raises(cfgio.ConfigError, match=f"solver.{key}"):
             cfgio.load_problem(write_config(tmp_path, extra=extra))

@@ -71,7 +71,8 @@ def test_each_stage_ends_at_a_resolved_minimizer(n):
     for k in spec.config.k_schedule:
         u, _ = solvers.solve_pk(spec, k, init=u)
         model = _EnergyModel(spec, k)
-        _, d = solvers._newton_direction(model, model.evaluate(u), k, 0)
+        ev = model.evaluate(u)
+        d = model.factor(ev)(model.residual(ev), ev)
         assert np.max(np.abs(d)) <= solvers._NEWTON_TOL, k
 
 
@@ -83,12 +84,12 @@ def test_reused_factors_follow_the_gradient_scale():
     model = _EnergyModel(spec, 64.0)
     ev = model.evaluate(solvers.harmonic_extension(spec.grid, spec.frame,
                                                    spec.f))
-    factors = solvers._HessianFactors(model, ev, 64.0, 0)
-    _, d = solvers._newton_direction(model, ev, 64.0, 0)
+    factors = model.factor(ev)
+    d = factors(model.residual(ev), ev)
     for shift in (-4.0, 3.0):
         logs = ev.log_scale + shift
         grad = model.gradient(ev, logs)[model.interior]
-        assert np.allclose(factors.direction(grad, logs), d,
+        assert np.allclose(factors(grad, ev._replace(log_scale=logs)), d,
                            rtol=1e-12, atol=0.0)
 
 

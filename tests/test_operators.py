@@ -19,8 +19,7 @@ from infxlap.grid import (_d_axis, build_grid, grad_ln_p, identity_frame,
                           riemannian_gradient, sample_frame,
                           symmetrized_hessian)
 from infxlap.operators import (ExponentData, PointJet, ResidualKernel,
-                               gradient_norm_sq_field, infinity_residual_at,
-                               infinity_x_residual_at,
+                               infinity_residual_at, infinity_x_residual_at,
                                infinity_x_residual_field, max_form_residual,
                                min_form_residual, pk_residual_at, sup_extremal)
 

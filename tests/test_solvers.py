@@ -43,8 +43,6 @@ class TestConfigValidation:
 
     def test_positive_tolerances(self):
         with pytest.raises(ValueError):
-            SolverConfig(delta_reg=-1e-8)
-        with pytest.raises(ValueError):
             SolverConfig(continuation_tol=0.0)
 
     def test_negative_polish_cap_rejected(self):
@@ -289,6 +287,35 @@ class TestSolvePk:
         assert exc.value.iteration >= 0
         assert "exactly singular" in str(exc.value)
 
+    def test_ascent_direction_named(self, monkeypatch):
+        # factors whose solves come back negated give ascent directions:
+        # Newton stops and says so instead of falling back to steepest
+        # descent
+        g = unit_grid(9)
+        fr = identity_frame(g)
+        X, Y = g.meshgrid()
+        spec = ProblemSpec(grid=g, frame=fr, p=np.full(g.shape, 2.0),
+                           f=(X ** 2 + Y ** 2))
+        warm = harmonic_extension(g, fr, spec.f)
+        real = solvers.splu
+
+        class Negated:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                return -self.lu.solve(b)
+
+        monkeypatch.setattr(solvers, "splu",
+                            lambda *a, **kw: Negated(real(*a, **kw)))
+        with pytest.raises(NewtonStall) as exc:
+            continue_k(spec, init=warm)
+        assert exc.value.k == spec.config.k_schedule[0]
+        assert exc.value.reason == "no descent direction"
+        assert "no descent direction" in str(exc.value)
+        assert exc.value.history == []
+        assert np.array_equal(exc.value.u, warm)
+
 
 class TestContinuation:
     def test_constant_all_gaps_zero(self):
@@ -421,6 +448,26 @@ class TestPolish:
         assert float(np.max(np.abs(res))) == report.polish_final
         assert report.polish_final < solvers._POLISH_TOL
         assert "accepted" in report.format()
+
+    def test_polish_reuses_jacobian_factors(self, monkeypatch):
+        # chord steps: the polish factors its Jacobian less often than it
+        # steps (it factored once per step before the factors were reused)
+        calls = []
+        real = solvers.splu
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("permc_spec"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "splu", counting)
+        spec = _varframe_33()
+        _, report = solve_dirichlet_infinity(spec)
+        assert report.polish_accepted is True
+        assert calls.count("MMD_AT_PLUS_A") == report.polish_factorizations
+        assert 0 < report.polish_factorizations < report.polish_steps
+        assert (f"after {report.polish_steps} Newton steps "
+                f"({report.polish_factorizations} factorizations)"
+                in report.format())
 
     def test_start_independent(self):
         # Newton from the harmonic extension alone and from the
