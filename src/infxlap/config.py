@@ -37,11 +37,20 @@ def _get(cp: configparser.ConfigParser, section: str, key: str) -> str:
     return cp.get(section, key)
 
 
-def _parse_expr(section: str, key: str, text: str):
+def _parse_expr(cp: configparser.ConfigParser, section: str, key: str):
     try:
-        return expressions.parse(text)
+        return expressions.parse(_get(cp, section, key))
     except expressions.ParseError as exc:
         raise ConfigError(f"bad expression in {section}.{key}: {exc}") from exc
+
+
+def _sampled(what: str, sample, *args) -> np.ndarray:
+    """``sample(*args)``; a DomainError, which names the first failing
+    node, becomes a ConfigError naming ``what``."""
+    try:
+        return sample(*args)
+    except expressions.DomainError as exc:
+        raise ConfigError(f"{what} not evaluable: {exc}") from exc
 
 
 def load_problem(path: str | Path) -> ProblemSpec:
@@ -53,21 +62,15 @@ def load_problem(path: str | Path) -> ProblemSpec:
     """
     path = Path(path)
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ConfigError(f"cannot read config file {path}")
     for section, keys in _REQUIRED.items():
-        if not cp.has_section(section):
-            raise ConfigError(f"missing key {section}.{keys[0]}")
         for key in keys:
             _get(cp, section, key)
 
     try:
-        grid = build_grid(
-            float(_get(cp, "domain", "xmin")), float(_get(cp, "domain", "xmax")),
-            float(_get(cp, "domain", "ymin")), float(_get(cp, "domain", "ymax")),
-            int(_get(cp, "domain", "nx")), int(_get(cp, "domain", "ny")),
-        )
+        # build_grid converts the bounds with float and the sizes with int
+        grid = build_grid(*(cp.get("domain", k) for k in _REQUIRED["domain"]))
     except ValueError as exc:
         raise ConfigError(f"bad domain: {exc}") from exc
 
@@ -88,22 +91,11 @@ def load_problem(path: str | Path) -> ProblemSpec:
         # every SolverConfig message starts with the field's name
         raise ConfigError(f"bad solver config: solver.{exc}") from exc
 
-    exprs = {key: _parse_expr("frame", key, _get(cp, "frame", key))
-             for key in ("a11", "a12", "a21", "a22")}
-    frame = sample_frame(exprs["a11"], exprs["a12"], exprs["a21"], exprs["a22"],
-                         grid)
-
-    p_expr = _parse_expr("exponent", "p", _get(cp, "exponent", "p"))
-    try:
-        p = grid.sample(p_expr)
-    except expressions.DomainError as exc:
-        raise ConfigError(f"exponent.p not evaluable: {exc}") from exc
-
-    f_expr = _parse_expr("boundary", "f", _get(cp, "boundary", "f"))
-    try:
-        f = grid.sample(f_expr)
-    except expressions.DomainError as exc:
-        raise ConfigError(f"boundary.f not evaluable: {exc}") from exc
+    exprs = [_parse_expr(cp, "frame", key)
+             for key in ("a11", "a12", "a21", "a22")]
+    frame = _sampled("frame", sample_frame, *exprs, grid)
+    p = _sampled("exponent.p", grid.sample, _parse_expr(cp, "exponent", "p"))
+    f = _sampled("boundary.f", grid.sample, _parse_expr(cp, "boundary", "f"))
 
     epsilon = 0.0
     if cp.has_option("jensen", "epsilon"):
@@ -124,12 +116,12 @@ def export_field(field: np.ndarray, grid: Grid2D, path: str | Path) -> None:
     field = np.asarray(field, dtype=float)
     if field.shape != grid.shape:
         raise ValueError(f"field shape {field.shape} != grid shape {grid.shape}")
-    xs, ys = grid.xs, grid.ys
+    xs = [f"{x:.17g}," for x in grid.xs.tolist()]
+    ys = [f"{y:.17g}," for y in grid.ys.tolist()]
     with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for j in range(grid.ny):
-            for i in range(grid.nx):
-                fh.write(f"{xs[i]:.17g},{ys[j]:.17g},{field[j, i]:.17g}\n")
+        fh.write("".join(["x,y,value\n"] + [
+            f"{x}{y}{v:.17g}\n" for y, row in zip(ys, field.tolist())
+            for x, v in zip(xs, row)]))
 
 
 def import_field(path: str | Path, grid: Grid2D) -> np.ndarray:

@@ -8,14 +8,20 @@ unary minus), unary minus, and the calls ``sin cos exp log sqrt abs``
 (one argument) and ``min max`` (two arguments).  ``log`` is the natural
 logarithm.
 
-Parsed trees are immutable; evaluation is reentrant and raises
-:class:`DomainError` instead of ever returning a non-finite value.
+Parsed trees are immutable.  :func:`evaluate` walks a tree once on whole
+coordinate arrays (0-d at one point): ``+ - * / sqrt abs min max`` are
+exact IEEE operations and run as ufuncs, ``^ exp log sin cos`` call
+``math`` per element, so every node gets a scalar evaluation's bits.  It
+raises :class:`DomainError` instead of returning a non-finite value.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ExprError(Exception):
@@ -31,11 +37,15 @@ class ParseError(ExprError):
 
 
 class DomainError(ExprError):
-    """Evaluation left the expression's domain (log, sqrt, division, pow)."""
+    """Evaluation left the expression's domain (log, sqrt, division, pow):
+    ``node`` is the failing subexpression, ``grid_node`` the first failing
+    grid node as ``((i, j), (x, y))`` or None off a grid."""
 
-    def __init__(self, message: str, node: "Expr"):
-        super().__init__(f"{message} in '{node}'")
-        self.node = node
+    def __init__(self, reason: str, node: "Expr", grid_node=None):
+        (i, j), (x, y) = grid_node or ((0, 0), (0.0, 0.0))
+        at = f" at node (i={i}, j={j}), (x={x:g}, y={y:g})" if grid_node else ""
+        super().__init__(f"{reason} in '{node}'{at}")
+        self.node, self.grid_node = node, grid_node
 
 
 @dataclass(frozen=True)
@@ -92,6 +102,8 @@ class Call(Expr):
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _UNARY_FUNCS = {"sin", "cos", "exp", "log", "sqrt", "abs"}
 _BINARY_FUNCS = {"min", "max"}
+# digits and dots, then an exponent suffix like 1e-3 / 2.5E+10; a name
+_NUMBER, _NAME = re.compile(r"[\d.]*(?:[eE][+-]?\d+)?"), re.compile(r"\w*")
 
 
 class _Parser:
@@ -107,18 +119,15 @@ class _Parser:
 
     def parse(self) -> Expr:
         node = self.expression()
-        self.skip_ws()
-        if self.pos != len(self.text):
+        if self.peek():
             raise ParseError(f"unexpected '{self.text[self.pos]}'", self.pos)
         return node
 
-    def skip_ws(self) -> None:
+    def peek(self) -> str:
+        """The next character after white space, or "" at the end."""
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos:self.pos + 1]
 
     def expect(self, ch: str) -> None:
         if self.peek() != ch:
@@ -126,19 +135,17 @@ class _Parser:
         self.pos += 1
 
     def expression(self) -> Expr:
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.text[self.pos]
-            self.pos += 1
-            node = BinOp(op, node, self.term())
-        return node
+        return self.chain(("+", "-"), self.term)
 
     def term(self) -> Expr:
-        node = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.text[self.pos]
+        return self.chain(("*", "/"), self.unary)
+
+    def chain(self, ops: tuple[str, str], operand) -> Expr:
+        """``operand (op operand)*``, left-associative."""
+        node = operand()
+        while (op := self.peek()) in ops:
             self.pos += 1
-            node = BinOp(op, node, self.unary())
+            node = BinOp(op, node, operand())
         return node
 
     def unary(self) -> Expr:
@@ -172,21 +179,7 @@ class _Parser:
 
     def number(self) -> Expr:
         start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isdigit() or self.text[self.pos] == "."
-        ):
-            self.pos += 1
-        # exponent suffix like 1e-3 / 2.5E+10
-        if self.pos < len(self.text) and self.text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark
+        self.pos = _NUMBER.match(self.text, start).end()
         try:
             return Num(float(self.text[start:self.pos]))
         except ValueError:
@@ -194,10 +187,7 @@ class _Parser:
 
     def identifier(self) -> Expr:
         start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
+        self.pos = _NAME.match(self.text, start).end()
         name = self.text[start:self.pos]
         if name in ("x", "y"):
             return Var(name)
@@ -212,9 +202,8 @@ class _Parser:
             self.expect(")")
             want = 1 if name in _UNARY_FUNCS else 2
             if len(args) != want:
-                raise ParseError(
-                    f"{name} takes {want} argument{'s' if want > 1 else ''}", start
-                )
+                raise ParseError(f"{name} takes {want} argument"
+                                 f"{'s' * (want > 1)}", start)
             return Call(name, tuple(args))
         raise ParseError(f"unknown identifier '{name}'", start)
 
@@ -226,66 +215,92 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def evaluate(e: Expr, x: float, y: float) -> float:
-    """Evaluate ``e`` at the point (x, y) in double precision.
+def _by_math(f, nin=1):
+    """``f`` from ``math`` element by element (numpy's exp, log and power
+    round differently); an element where ``f`` raises is NaN."""
+    def nan_on_raise(*args):
+        try:
+            return f(*args)
+        except (ValueError, OverflowError):
+            return math.nan
+    fast, slow = np.frompyfunc(f, nin, 1), np.frompyfunc(nan_on_raise, nin, 1)
+
+    def apply(*args):
+        try:
+            return np.asarray(fast(*args), dtype=float)
+        except (ValueError, OverflowError):  # some element left the domain
+            return np.asarray(slow(*args), dtype=float)
+    return apply
+
+
+# Exact IEEE operations run as ufuncs; min and max keep Python's tie rule
+# (the first argument wins, as in min(0.0, -0.0)).
+_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+        "^": _by_math(math.pow, 2), "sqrt": np.sqrt, "abs": np.abs,
+        "min": lambda a, b: np.where(b < a, b, a),
+        "max": lambda a, b: np.where(b > a, b, a),
+        **{name: _by_math(getattr(math, name))
+           for name in ("sin", "cos", "exp", "log")}}
+# checks on an operation's arguments, and where its math call raised
+_BEFORE = {"/": ("division by zero", lambda a, b: b == 0.0),
+           "log": ("log of nonpositive value", lambda a: a <= 0.0),
+           "sqrt": ("sqrt of negative value", lambda a: a < 0.0)}
+_AFTER = {"^": "undefined power", "exp": "exp overflow"}
+
+
+def _walk(e: Expr, x, y, fail):
+    """Values of ``e`` on coordinate arrays; each domain check goes to
+    ``fail(mask, reason, node)`` in the order of a scalar evaluation."""
+    if isinstance(e, Num):
+        v = np.float64(e.value)
+    elif isinstance(e, Var):
+        v = x if e.name == "x" else y
+    elif isinstance(e, Neg):
+        v = -_walk(e.arg, x, y, fail)
+    elif isinstance(e, (BinOp, Call)):
+        op, args = ((e.op, (e.left, e.right)) if isinstance(e, BinOp)
+                    else (e.name, e.args))
+        vals = [_walk(a, x, y, fail) for a in args]
+        if op in _BEFORE:
+            fail(_BEFORE[op][1](*vals), _BEFORE[op][0], e)
+        v = _OPS[op](*vals)
+        if op in _AFTER:
+            fail(np.isnan(v), _AFTER[op], e)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    fail(~np.isfinite(v), "non-finite result", e)
+    return v
+
+
+def _raise_at(grid_node=None):
+    """A ``fail`` for :func:`_walk` that raises at the first failed check."""
+    def fail(mask, reason, node):
+        if mask:
+            raise DomainError(reason, node, grid_node)
+    return fail
+
+
+def evaluate(e: Expr, x, y):
+    """Evaluate ``e`` in double precision at the point (x, y), as a float,
+    or on coordinate arrays of shape (ny, nx), indexed ``[j, i]``.
 
     Raises :class:`DomainError` naming the offending node on log of a
     nonpositive value, sqrt of a negative value, division by zero,
-    undefined powers, or any non-finite intermediate.
+    undefined powers, or any non-finite intermediate.  On arrays the
+    failures are collected as a mask; the first failing node in row-major
+    order (j outer, i inner) is evaluated again alone, and its error is
+    raised with ``grid_node`` set.
     """
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return float(x) if e.name == "x" else float(y)
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, x, y)
-    if isinstance(e, BinOp):
-        a = evaluate(e.left, x, y)
-        b = evaluate(e.right, x, y)
-        if e.op == "+":
-            v = a + b
-        elif e.op == "-":
-            v = a - b
-        elif e.op == "*":
-            v = a * b
-        elif e.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero", e)
-            v = a / b
-        else:  # ^
-            try:
-                v = math.pow(a, b)
-            except (ValueError, OverflowError):
-                raise DomainError("undefined power", e) from None
-        if not math.isfinite(v):
-            raise DomainError("non-finite result", e)
-        return v
-    if isinstance(e, Call):
-        vals = [evaluate(a, x, y) for a in e.args]
-        if e.name == "log":
-            if vals[0] <= 0.0:
-                raise DomainError("log of nonpositive value", e)
-            v = math.log(vals[0])
-        elif e.name == "sqrt":
-            if vals[0] < 0.0:
-                raise DomainError("sqrt of negative value", e)
-            v = math.sqrt(vals[0])
-        elif e.name == "sin":
-            v = math.sin(vals[0])
-        elif e.name == "cos":
-            v = math.cos(vals[0])
-        elif e.name == "exp":
-            try:
-                v = math.exp(vals[0])
-            except OverflowError:
-                raise DomainError("exp overflow", e) from None
-        elif e.name == "abs":
-            v = abs(vals[0])
-        elif e.name == "min":
-            v = min(vals)
-        else:  # max
-            v = max(vals)
-        if not math.isfinite(v):
-            raise DomainError("non-finite result", e)
-        return v
-    raise TypeError(f"not an expression node: {e!r}")
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    with np.errstate(all="ignore"):
+        if x.ndim == 0:
+            return float(_walk(e, x, y, _raise_at()))
+        bad = np.zeros(x.shape, dtype=bool)
+        v = _walk(e, x, y, lambda mask, *_: np.logical_or(bad, mask, out=bad))
+        if np.any(bad):
+            j, i = (int(k) for k in np.argwhere(bad)[0])
+            at = _raise_at(((i, j), (float(x[j, i]), float(y[j, i]))))
+            _walk(e, x[j, i], y[j, i], at)
+            raise AssertionError(f"node ({i}, {j}) passed when alone")
+    return np.broadcast_to(v, x.shape)

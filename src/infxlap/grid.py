@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expressions import Expr, evaluate
+
 _DET_FLOOR = 1e-10   # smallest |det A| a frame may have at a node
 
 
@@ -96,16 +98,10 @@ class Grid2D:
     def boundary_mask(self) -> np.ndarray:
         return ~self.interior_mask()
 
-    def sample(self, expr) -> np.ndarray:
-        """Evaluate a callable/expression f(x, y) at every node."""
-        out = np.empty(self.shape)
-        xs, ys = self.xs, self.ys
-        for j in range(self.ny):
-            for i in range(self.nx):
-                out[j, i] = expr(xs[i], ys[j])
-        if not np.all(np.isfinite(out)):
-            raise ValueError("sampled field contains non-finite values")
-        return out
+    def sample(self, expr: Expr) -> np.ndarray:
+        """Evaluate an expression at every node in one array pass; a
+        :class:`DomainError` names the first failing node (row-major)."""
+        return np.array(evaluate(expr, *self.meshgrid()))
 
 
 def build_grid(xmin, xmax, ymin, ymax, nx, ny) -> Grid2D:
@@ -152,10 +148,7 @@ def sample_frame(a11, a12, a21, a22, grid: Grid2D) -> FrameField:
 
 
 def identity_frame(grid: Grid2D) -> FrameField:
-    a = np.zeros((grid.ny, grid.nx, 2, 2))
-    a[..., 0, 0] = 1.0
-    a[..., 1, 1] = 1.0
-    return make_frame(grid, a)
+    return make_frame(grid, np.tile(np.eye(2), grid.shape + (1, 1)))
 
 
 def _d_axis(u: np.ndarray, h: float, axis: int) -> np.ndarray:

@@ -64,13 +64,12 @@ def lipschitz_constant(f: np.ndarray, grid: Grid2D, frame: FrameField,
 def check_comparison(u: np.ndarray, v: np.ndarray, grid: Grid2D,
                      tol: float = 0.0) -> CheckReport:
     """u <= v + tol on the interior, given the same ordering on the boundary."""
-    bmask = grid.boundary_mask()
-    bgap = float(np.max((u - v)[bmask]))
+    diff = u - v
+    bgap = float(np.max(diff[grid.boundary_mask()]))
     if bgap > tol:
         return CheckReport(name="comparison", passed=False, worst_value=bgap,
                            tol=tol, applicable=False,
                            stats={"reason": "boundary ordering violated"})
-    diff = u - v
     inner = diff[1:-1, 1:-1]
     worst = float(np.max(inner))
     jj, ii = np.unravel_index(np.argmax(inner), inner.shape)

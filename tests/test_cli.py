@@ -72,6 +72,23 @@ class TestConfigLoading:
         with pytest.raises(cfgio.ConfigError, match="boundary.f"):
             cfgio.load_problem(path)
 
+    def test_domain_error_names_key_and_node(self, tmp_path):
+        path = write_config(tmp_path, f="log(0.5 - x)")
+        with pytest.raises(cfgio.ConfigError) as exc:
+            cfgio.load_problem(path)
+        msg = str(exc.value)
+        assert msg.startswith("boundary.f not evaluable: log of nonpositive")
+        assert "at node (i=4, j=0), (x=0.5, y=0)" in msg
+
+    def test_frame_domain_error_is_a_config_error(self, tmp_path):
+        path = write_config(tmp_path)
+        text = open(path).read().replace("a22 = 1", "a22 = sqrt(y - 0.5)")
+        open(path, "w").write(text)
+        with pytest.raises(cfgio.ConfigError,
+                           match=r"frame not evaluable: sqrt of negative "
+                                 r".* at node \(i=0, j=0\)"):
+            cfgio.load_problem(path)
+
     def test_jensen_and_solver_sections(self, tmp_path):
         extra = "\n[jensen]\nepsilon = 1.0\n\n[solver]\nk_schedule = 2, 4\n"
         spec = cfgio.load_problem(write_config(tmp_path, extra=extra))
@@ -109,6 +126,24 @@ class TestFieldCsv:
         cfgio.export_field(field, g, path)
         back = cfgio.import_field(path, g)
         assert np.array_equal(field, back)
+
+    def test_bytes_match_row_by_row_writer(self, tmp_path):
+        """The file is the one a row-by-row writer of 17-digit values
+        gives, signed zeros and extreme exponents included."""
+        g = build_grid(-0.3, 1.7, 0.1, 2.0, 9, 7)
+        rng = np.random.default_rng(3)
+        field = rng.normal(size=g.shape) * 10.0 ** rng.integers(-300, 300,
+                                                                size=g.shape)
+        field[0, 0], field[1, 1] = -0.0, 5e-324
+        path = tmp_path / "field.csv"
+        cfgio.export_field(field, g, path)
+        xs, ys = g.xs, g.ys
+        expected = "x,y,value\n" + "".join(
+            f"{xs[i]:.17g},{ys[j]:.17g},{field[j, i]:.17g}\n"
+            for j in range(g.ny) for i in range(g.nx))
+        assert path.read_bytes() == expected.encode()
+        back = cfgio.import_field(path, g)
+        assert np.array_equal(back.view(np.int64), field.view(np.int64))
 
     def test_header_and_first_row(self, tmp_path):
         g = build_grid(0.25, 1.0, 0.5, 1.25, 4, 4)
