@@ -8,7 +8,7 @@ from .grid import (FrameField, FrameSingular, Grid2D, GridError, build_grid,
 from .operators import (ExponentData, PointJet, ResidualKernel,
                         infinity_residual_at, infinity_x_residual_at,
                         infinity_x_residual_field, max_form_residual,
-                        min_form_residual, pk_residual_at, sup_extremal)
+                        min_form_residual, pk_residual_at)
 from .solvers import (FactorizationError, NewtonStall, ProblemSpec,
                       SolveReport, SolverConfig, SolverError, continue_k,
                       harmonic_extension, solve_dirichlet_infinity, solve_pk)

@@ -15,14 +15,14 @@ import numpy as np
 from . import config as cfgio
 from . import operators, verify
 from .expressions import ExprError
-from .grid import FrameSingular, riemannian_distance
-from .solvers import SolverError, continue_k, solve_dirichlet_infinity
+from .grid import riemannian_distance
+from .solvers import SolverError, solve_dirichlet_infinity
 
 
 def _load(path: str):
     try:
         return cfgio.load_problem(path)
-    except (cfgio.ConfigError, ExprError, FrameSingular, ValueError) as exc:
+    except (ExprError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
@@ -41,9 +41,7 @@ def _apply_overrides(spec, args):
 
 
 def _run_solve(spec):
-    if spec.epsilon == 0.0:
-        return solve_dirichlet_infinity(spec)
-    return continue_k(spec)
+    return solve_dirichlet_infinity(spec)
 
 
 def cmd_solve(args) -> int:
@@ -160,7 +158,7 @@ def _verify_lemma41(spec) -> verify.CheckReport:
 
 
 def _verify_uniqueness(spec) -> verify.CheckReport:
-    return verify.uniqueness_probe(spec, n_inits=3)
+    return verify.uniqueness_probe(spec)
 
 
 def _verify_eikonal(spec) -> verify.CheckReport:

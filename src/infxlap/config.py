@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expressions
-from .grid import Grid2D, build_grid, sample_frame
+from .grid import FrameSingular, Grid2D, build_grid, sample_frame
 from .solvers import ProblemSpec, SolverConfig
 
 
@@ -93,7 +93,10 @@ def load_problem(path: str | Path) -> ProblemSpec:
 
     exprs = [_parse_expr(cp, "frame", key)
              for key in ("a11", "a12", "a21", "a22")]
-    frame = _sampled("frame", sample_frame, *exprs, grid)
+    try:
+        frame = _sampled("frame", sample_frame, *exprs, grid)
+    except FrameSingular as exc:
+        raise ConfigError(f"singular [frame]: {exc}") from exc
     p = _sampled("exponent.p", grid.sample, _parse_expr(cp, "exponent", "p"))
     f = _sampled("boundary.f", grid.sample, _parse_expr(cp, "boundary", "f"))
 

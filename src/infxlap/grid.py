@@ -129,12 +129,13 @@ def make_frame(grid: Grid2D, a: np.ndarray) -> FrameField:
     a = np.asarray(a, dtype=float)
     if a.shape != (grid.ny, grid.nx, 2, 2):
         raise ValueError(f"frame array must have shape {(grid.ny, grid.nx, 2, 2)}")
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    frame = FrameField(grid=grid, a=a)
+    det = frame.det
     bad = np.abs(det) < _DET_FLOOR
     if np.any(bad):
         j, i = np.argwhere(bad)[0]
         raise FrameSingular(int(i), int(j), grid.xs[i], grid.ys[j], float(det[j, i]))
-    return FrameField(grid=grid, a=a)
+    return frame
 
 
 def sample_frame(a11, a12, a21, a22, grid: Grid2D) -> FrameField:

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import (FrameField, Grid2D, _d_axis, grad_ln_p,
-                   riemannian_gradient)
+from .grid import FrameField, Grid2D, _d_axis, grad_ln_p
 
 #: log regularization floor for field residuals (never applied to jets)
 DELTA_LOG = 1e-12
@@ -104,15 +103,13 @@ class ResidualKernel:
     the 2x2 products are written out, so an evaluation is a few dozen
     small array operations.  The Hessian is the symmetrized nested
     stencil of :func:`infxlap.grid.symmetrized_hessian`; the logarithm
-    is regularized as ln(max(||D_X u||, delta_log)).
+    is regularized as ln(max(||D_X u||, DELTA_LOG)).
     """
 
-    def __init__(self, frame: FrameField, p: np.ndarray,
-                 delta_log: float = DELTA_LOG):
+    def __init__(self, frame: FrameField, p: np.ndarray):
         glnp = grad_ln_p(p, frame)
         a = frame.a
         self.frame = frame
-        self.delta_log = delta_log
         self._a = [np.ascontiguousarray(a[..., i, k])
                    for i in (0, 1) for k in (0, 1)]
         self._a_in = [np.ascontiguousarray(c[1:-1, 1:-1]) for c in self._a]
@@ -138,7 +135,7 @@ class ResidualKernel:
         h22 = b21 * gx[1] + b22 * gy[1]
         n2 = g1 * g1 + g2 * g2
         dot = g1 * self._lnp[0] + g2 * self._lnp[1]
-        log_n = np.log(np.maximum(np.sqrt(n2), self.delta_log))
+        log_n = np.log(np.maximum(np.sqrt(n2), DELTA_LOG))
         return g1, g2, h11, h12, h22, n2, dot, log_n
 
     def jets(self, u: np.ndarray):
@@ -178,7 +175,7 @@ class ResidualKernel:
         g1, g2, h11, h12, h22, n2, dot, log_n = self._parts(u)
         # d(||g||^2 dot ln||g||)/d g_a = (2 dot ln||g|| + dot) g_a
         # + ||g||^2 lnp_a ln||g||, the middle term absent below the floor
-        s = 2.0 * dot * log_n + np.where(n2 > self.delta_log ** 2, dot, 0.0)
+        s = 2.0 * dot * log_n + np.where(n2 > DELTA_LOG ** 2, dot, 0.0)
         c = [2.0 * (ha * g1 + hb * g2) + s * ga + n2 * la * log_n
              for ha, hb, ga, la in ((h11, h12, g1, self._lnp[0]),
                                     (h12, h22, g2, self._lnp[1]))]
@@ -229,14 +226,13 @@ def _lattice_products(grid: Grid2D) -> _LatticeProducts:
 
 
 def infinity_x_residual_field(u: np.ndarray, frame: FrameField,
-                              p: np.ndarray,
-                              delta_log: float = DELTA_LOG) -> np.ndarray:
+                              p: np.ndarray) -> np.ndarray:
     """-Delta_{X,infinity(x)} u on interior nodes (boundary entries 0).
 
     Uses the discrete gradient/Hessian as the jet and regularizes the
-    logarithm as ln(max(||D_X u||, delta_log)); see :class:`ResidualKernel`.
+    logarithm as ln(max(||D_X u||, DELTA_LOG)); see :class:`ResidualKernel`.
     """
-    return ResidualKernel(frame, p, delta_log)(u)
+    return ResidualKernel(frame, p)(u)
 
 
 def min_form_residual(u: np.ndarray, frame: FrameField, p: np.ndarray,
@@ -260,10 +256,3 @@ def max_form_residual(u: np.ndarray, frame: FrameField, p: np.ndarray,
     out[1:-1, 1:-1] = np.maximum(eps - (g1 * g1 + g2 * g2), r)
     return out
 
-
-def sup_extremal(u: np.ndarray, frame: FrameField, p: np.ndarray) -> float:
-    """max over interior nodes of ||D_X u||^{p(x)}."""
-    g = riemannian_gradient(u, frame)
-    n = np.sqrt(g[..., 0] ** 2 + g[..., 1] ** 2)
-    vals = n[1:-1, 1:-1] ** np.asarray(p, dtype=float)[1:-1, 1:-1]
-    return float(np.max(vals))

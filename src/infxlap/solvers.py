@@ -51,7 +51,6 @@ class NewtonStall(SolverError):
         super().__init__(f"Newton iteration ({model.stage}) stopped after "
                          f"{len(history)} steps: {reason}{last}")
         self.k, self.reason, self.u, self.history = model.k, reason, u, history
-        self.iteration = len(history)
 
 
 class FactorizationError(NewtonStall):
@@ -559,49 +558,45 @@ class _PolishModel:
 
 
 def _polish_newton(u0: np.ndarray, frame: FrameField, p: np.ndarray,
-                   sweeps: int, report: SolveReport | None = None
-                   ) -> tuple[np.ndarray, float, float, bool]:
+                   sweeps: int, report: SolveReport) -> np.ndarray:
     """At most ``sweeps`` steps (chord steps count) of :func:`_newton` on
     the interior infinity(x) residual, accepted once sup |r| < _POLISH_TOL;
     on a stop (step cap, failed line search or factorization) ``u0`` comes
-    back.  Returns (field, initial sup, last iterate's sup, accepted);
-    ``report`` gets the steps, factorizations, stop reason and the last
-    iterate's worst node."""
+    back.  ``report`` gets the initial and last iterate's residual sup, the
+    verdict, the steps, factorizations, stop reason and the worst node."""
     model = _PolishModel(frame, p)
-    initial = float(np.max(np.abs(model.evaluate(u0).r)))
+    report.polish_initial = float(np.max(np.abs(model.evaluate(u0).r)))
     try:
         state, history = _newton(model, u0, sweeps)
         stop = "converged"
     except NewtonStall as exc:
         state, history, stop = model.evaluate(exc.u), exc.history, exc.reason
-    accepted, final = stop == "converged", float(np.max(np.abs(state.r)))
-    if report is not None:
-        jj, ii = np.unravel_index(np.argmax(np.abs(state.r)),
-                                  np.subtract(u0.shape, 2))
-        report.polish_worst = (int(ii) + 1, int(jj) + 1)
-        report.polish_initial, report.polish_final = initial, final
-        report.polish_accepted, report.polish_stop = accepted, stop
-        report.polish_steps = len(history)
-        report.polish_factorizations = model.factorizations
-    return (state.u if accepted else u0), initial, final, accepted
+    jj, ii = np.unravel_index(np.argmax(np.abs(state.r)),
+                              np.subtract(u0.shape, 2))
+    report.polish_worst = (int(ii) + 1, int(jj) + 1)
+    report.polish_final = float(np.max(np.abs(state.r)))
+    report.polish_accepted, report.polish_stop = stop == "converged", stop
+    report.polish_steps = len(history)
+    report.polish_factorizations = model.factorizations
+    return state.u if report.polish_accepted else u0
 
 
 def solve_dirichlet_infinity(spec: ProblemSpec,
                              init: np.ndarray | None = None
                              ) -> tuple[np.ndarray, SolveReport]:
-    """Dirichlet solve of the eps = 0 equation with Newton polish.
+    """Dirichlet solve of the problem ``spec`` poses, for any eps.
 
-    Runs the continuation, then at most ``polish_sweeps`` global Newton
-    steps on the discrete residual.  If they do not reach a residual
-    sup-norm below ``_POLISH_TOL``, the continuation field is returned
-    and the report names the rejection, its steps and its worst node.
+    Runs the continuation.  At eps = 0 it then takes at most
+    ``polish_sweeps`` global Newton steps on the discrete residual; if
+    they do not reach a residual sup-norm below ``_POLISH_TOL``, the
+    continuation field is returned and the report names the rejection,
+    its steps and its worst node.  At eps != 0 the Jensen continuation
+    field is the result, unpolished.
     """
-    if spec.epsilon != 0.0:
-        raise ValueError("solve_dirichlet_infinity requires epsilon = 0")
     t0 = time.perf_counter()
     u, report = continue_k(spec, init=init)
-    if spec.config.polish_sweeps > 0:
+    if spec.epsilon == 0.0 and spec.config.polish_sweeps > 0:
         u = _polish_newton(u, spec.frame, spec.p,
-                           spec.config.polish_sweeps, report)[0]
+                           spec.config.polish_sweeps, report)
     report.wall_time = time.perf_counter() - t0
     return u, report

@@ -212,7 +212,7 @@ def test_criterion_06_jensen_lower_equation():
 
 def test_criterion_07_uniqueness(cone):
     """Three warm starts on the cone problem agree to solver tolerance."""
-    report, wall = timed(uniqueness_probe, cone["spec"], n_inits=3)
+    report, wall = timed(uniqueness_probe, cone["spec"])
     total = wall + cone["wall"]
     ok = report.worst_value < 1e-3 and total < 180.0
     announce(7, "uniqueness across warm starts", ok,

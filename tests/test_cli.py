@@ -33,6 +33,9 @@ f = {f}
 """
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def write_config(tmp_path, n=9, f="x", extra=""):
     path = tmp_path / "problem.ini"
     path.write_text(BASE.format(n=n, f=f) + extra)
@@ -88,6 +91,21 @@ class TestConfigLoading:
                            match=r"frame not evaluable: sqrt of negative "
                                  r".* at node \(i=0, j=0\)"):
             cfgio.load_problem(path)
+
+    def test_singular_frame_is_a_config_error(self, tmp_path, capsys):
+        # configs/variable_frame.ini at 9^2 with a11 = x: det A = 0 on x = 0
+        text = (CONFIGS / "variable_frame.ini").read_text()
+        path = tmp_path / "singular.ini"
+        path.write_text(text.replace("= 65", "= 9").replace("a11 = 1",
+                                                             "a11 = x"))
+        with pytest.raises(cfgio.ConfigError,
+                           match=r"\[frame\].* at node \(i=0, j=0\)"):
+            cfgio.load_problem(path)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(path),
+                  "--out", str(tmp_path / "u.csv")])
+        assert exc.value.code == 2
+        assert "[frame]" in capsys.readouterr().err
 
     def test_jensen_and_solver_sections(self, tmp_path):
         extra = "\n[jensen]\nepsilon = 1.0\n\n[solver]\nk_schedule = 2, 4\n"
@@ -289,10 +307,7 @@ class TestCliVerify:
 @pytest.mark.parametrize("name", ["aronsson", "variable_frame", "jensen_min"])
 def test_shipped_configs_load_and_verify(name):
     """Every shipped problem file loads and passes the cheap suite."""
-    import time
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.ini"
+    path = CONFIGS / f"{name}.ini"
     t0 = time.perf_counter()
     spec = cfgio.load_problem(path)
     assert spec.grid.n_nodes == 65 * 65

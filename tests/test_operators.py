@@ -21,7 +21,7 @@ from infxlap.grid import (_d_axis, build_grid, grad_ln_p, identity_frame,
 from infxlap.operators import (ExponentData, PointJet, ResidualKernel,
                                infinity_residual_at, infinity_x_residual_at,
                                infinity_x_residual_field, max_form_residual,
-                               min_form_residual, pk_residual_at, sup_extremal)
+                               min_form_residual, pk_residual_at)
 
 
 def unit_grid(n=9):
@@ -286,29 +286,6 @@ class TestForms:
             min_form_residual(u, fr, p, 0.0)
         with pytest.raises(ValueError):
             max_form_residual(u, fr, p, -1.0)
-
-
-class TestSupExtremal:
-    def test_constant_zero(self):
-        g = unit_grid()
-        fr = identity_frame(g)
-        assert sup_extremal(np.full(g.shape, 1.0), fr,
-                            np.full(g.shape, 3.0)) == 0.0
-
-    def test_unit_plane(self):
-        g = unit_grid()
-        fr = identity_frame(g)
-        X, _ = g.meshgrid()
-        assert sup_extremal(X, fr, np.full(g.shape, 3.0)) == pytest.approx(
-            1.0, abs=1e-12)
-
-    def test_piecewise_exponent(self):
-        # |Du| = 2; p = 2 on the left half, 3 on the right: max(4, 8) = 8
-        g = unit_grid(9)
-        fr = identity_frame(g)
-        X, _ = g.meshgrid()
-        p = np.where(X < 0.5, 2.0, 3.0)
-        assert sup_extremal(2.0 * X, fr, p) == pytest.approx(8.0, abs=1e-11)
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from infxlap.expressions import parse
-from infxlap.grid import build_grid, identity_frame, sample_frame
-from infxlap.operators import max_form_residual, sup_extremal
+from infxlap.grid import (build_grid, identity_frame, riemannian_gradient,
+                          sample_frame)
+from infxlap.operators import max_form_residual
 from infxlap import solvers
 from infxlap.solvers import (_DETA, _DXI, FactorizationError, NewtonStall,
                              ProblemSpec, SolveReport, SolverConfig,
@@ -284,7 +285,7 @@ class TestSolvePk:
             solve_pk(spec, 8.0, init=warm)
         assert isinstance(exc.value, SolverError)
         assert exc.value.k == 8.0
-        assert exc.value.iteration >= 0
+        assert exc.value.history == []
         assert "exactly singular" in str(exc.value)
 
     def test_ascent_direction_named(self, monkeypatch):
@@ -350,6 +351,12 @@ class TestContinuation:
         assert " iterations=" in text and "picard" not in text
 
     def test_sup_extremal_improves_along_continuation(self):
+        def sup_extremal(u, fr, p):
+            """max over interior nodes of ||D_X u||^{p(x)}"""
+            g = riemannian_gradient(u, fr)
+            n = np.sqrt(g[..., 0] ** 2 + g[..., 1] ** 2)
+            return float(np.max(n[1:-1, 1:-1] ** p[1:-1, 1:-1]))
+
         g = build_grid(1.0, 2.0, 1.0, 2.0, 33, 33)
         fr = identity_frame(g)
         X, Y = g.meshgrid()
@@ -377,13 +384,19 @@ class TestJensen:
 
 
 class TestDirichletInfinity:
-    def test_requires_eps_zero(self):
+    def test_jensen_returns_continuation_unpolished(self):
+        # eps != 0 poses Jensen's auxiliary equation, which the polish of
+        # the eps = 0 residual does not solve
         g = unit_grid(9)
-        fr = identity_frame(g)
-        spec = ProblemSpec(grid=g, frame=fr, p=np.full(g.shape, 2.0),
-                           f=np.zeros(g.shape), epsilon=1.0)
-        with pytest.raises(ValueError):
-            solve_dirichlet_infinity(spec)
+        X, Y = g.meshgrid()
+        spec = ProblemSpec(grid=g, frame=identity_frame(g),
+                           p=2.0 + X ** 2, f=X + 0.5 * Y, epsilon=0.3)
+        u, report = solve_dirichlet_infinity(spec)
+        u_cont, report_cont = continue_k(spec)
+        assert np.array_equal(u, u_cont)
+        assert report.per_k == report_cont.per_k
+        assert report.polish_initial is None and report.polish_steps == 0
+        assert "polish" not in report.format()
 
     def test_unit_plane_any_p(self):
         g = unit_grid(9)
@@ -475,9 +488,11 @@ class TestPolish:
         spec = _varframe_33()
         starts = [harmonic_extension(spec.grid, spec.frame, spec.f),
                   continue_k(spec)[0]]
-        out = [_polish_newton(u, spec.frame, spec.p, 20) for u in starts]
-        assert all(accepted for *_, accepted in out)
-        assert np.max(np.abs(out[0][0] - out[1][0])) <= 1e-9
+        reports = [SolveReport(), SolveReport()]
+        out = [_polish_newton(u, spec.frame, spec.p, 20, report)
+               for u, report in zip(starts, reports)]
+        assert all(report.polish_accepted for report in reports)
+        assert np.max(np.abs(out[0] - out[1])) <= 1e-9
 
     def test_failed_factorization_returns_start(self, monkeypatch):
         spec = _varframe_33()
@@ -487,9 +502,9 @@ class TestPolish:
             raise RuntimeError("Factor is exactly singular")
         monkeypatch.setattr(solvers, "splu", singular)
         report = SolveReport()
-        u, initial, final, accepted = _polish_newton(u0, spec.frame, spec.p,
-                                                     20, report)
-        assert u is u0 and not accepted and final == initial
+        u = _polish_newton(u0, spec.frame, spec.p, 20, report)
+        assert u is u0 and report.polish_accepted is False
+        assert report.polish_final == report.polish_initial
         assert report.polish_steps == 0
         assert report.polish_stop.startswith("factorization failed")
 
@@ -506,11 +521,10 @@ class TestPolish:
                                p=np.full(g.shape, 2.0), f=exact.copy())
             if n < 129:
                 u, report = solve_dirichlet_infinity(spec)
-                accepted = report.polish_accepted
             else:
-                u, *_, accepted = _polish_newton(exact, spec.frame, spec.p,
-                                                 20)
-            assert accepted
+                report = SolveReport()
+                u = _polish_newton(exact, spec.frame, spec.p, 20, report)
+            assert report.polish_accepted
             errors.append(float(np.max(np.abs(u - exact))))
         ratios = [a / b for a, b in zip(errors, errors[1:])]
         assert min(ratios) >= 3.5, (errors, ratios)

@@ -66,20 +66,13 @@ class TestLipschitz:
         monkeypatch.setattr(verify, "riemannian_distance", counting)
         g = unit_grid(32)
         X, _ = g.meshgrid()
-        lipschitz_constant(X, g, identity_frame(g), max_sources=64)
+        lipschitz_constant(X, g, identity_frame(g))
         assert 0 < len(rows) <= 64
         assert len(set(rows)) == len(rows)
 
-    @pytest.mark.parametrize("max_sources", [0, -1])
-    def test_max_sources_below_one_rejected(self, max_sources):
-        # 0 would divide by zero and -1 would reverse the stride
-        g = unit_grid(9)
-        X, _ = g.meshgrid()
-        with pytest.raises(ValueError, match="max_sources"):
-            lipschitz_constant(X, g, identity_frame(g), max_sources)
-
+    # 64 is the number of sources lipschitz_constant takes at most
     @pytest.mark.parametrize("problem, max_sources",
-                             [("varframe", 64), ("full", 64), ("full", 10)])
+                             [("varframe", 64), ("full", 64)])
     def test_matches_per_source_loop(self, problem, max_sources):
         g, fr, f = _lipschitz_problem(problem)
         nodes = [(int(i), int(j)) for j, i in np.argwhere(g.boundary_mask())]
@@ -90,7 +83,7 @@ class TestLipschitz:
             for ti, tj in nodes:
                 if dist[tj, ti] > 0:
                     ref = max(ref, abs(f[tj, ti] - f[sj, si]) / dist[tj, ti])
-        assert lipschitz_constant(f, g, fr, max_sources) == ref
+        assert lipschitz_constant(f, g, fr) == ref
 
     def test_distances_come_through_the_module_seam(self, monkeypatch):
         # the benchmark times and perturbs distances by wrapping
@@ -205,10 +198,6 @@ class TestTentCutoff:
         assert np.all(z[1, :] == 0.0) and np.all(z[:, 1] == 0.0)
         assert np.all(z[-2, :] == 0.0) and np.all(z[:, -2] == 0.0)
 
-    def test_margin_validation(self):
-        with pytest.raises(ValueError):
-            make_tent_cutoff(unit_grid(9), margin=1)
-
 
 class TestLogGradientBound:
     def test_zero_cutoff_passes(self):
@@ -245,17 +234,28 @@ class TestUniqueness:
         fr = identity_frame(g)
         spec = ProblemSpec(grid=g, frame=fr, p=np.full(g.shape, 2.0),
                            f=np.full(g.shape, 2.0))
-        rep = uniqueness_probe(spec, n_inits=3)
+        rep = uniqueness_probe(spec)
         assert rep.passed
         assert rep.worst_value < 1e-6
 
-    def test_needs_two_inits(self):
+    def test_jensen_starts_solved_through_the_module_seam(self, monkeypatch):
+        # eps != 0 takes the same solve as eps = 0; the solve decides
+        # what runs for which eps
+        calls = []
+        solve = verify.solve_dirichlet_infinity
+
+        def counting(spec, init=None):
+            calls.append(spec.epsilon)
+            return solve(spec, init=init)
+
+        monkeypatch.setattr(verify, "solve_dirichlet_infinity", counting)
         g = unit_grid(9)
-        fr = identity_frame(g)
-        spec = ProblemSpec(grid=g, frame=fr, p=np.full(g.shape, 2.0),
-                           f=np.zeros(g.shape))
-        with pytest.raises(ValueError):
-            uniqueness_probe(spec, n_inits=1)
+        X, Y = g.meshgrid()
+        spec = ProblemSpec(grid=g, frame=identity_frame(g),
+                           p=np.full(g.shape, 2.0), f=X + Y, epsilon=0.3)
+        rep = uniqueness_probe(spec)
+        assert calls == [0.3] * 3
+        assert rep.stats["n_inits"] == 3
 
 
 class TestEikonal:
