@@ -3,9 +3,15 @@
 The Dirichlet problem -div_X(||D_X u||^{kp(x)-2} D_X u) = eps^{kp(x)-1}
 is the Euler-Lagrange equation of a convex regularized energy, which is
 minimized by Newton's method with an Armijo line search.  Increasing k
-along a schedule with warm starts gives the surrogate for the uniform
-limit u_infinity; the start is the frame-harmonic extension, the
-minimizer of the quadratic energy at kp = 2, which one Newton step finds.
+along a schedule gives the surrogate for the uniform limit u_infinity; the
+start is the frame-harmonic extension, the minimizer of the quadratic
+energy at kp = 2, which one Newton step finds.  Each k after the second
+starts from the secant extrapolation in 1/k of the last two minimizers
+when its energy is below the last minimizer's, and from that minimizer
+otherwise (a predictor-corrector continuation with Newton as the
+corrector, Allgower-Georg, *Numerical Continuation Methods*, Springer
+1990, ch. 2).  The frame tensor at the Gauss points is built once per
+continuation.
 
 The energy is evaluated over bilinear elements (2x2 Gauss points,
 coefficients interpolated from the nodes), once per iterate.  Its Hessian
@@ -102,7 +108,9 @@ class PkStats:
     iterations: int
     factorizations: int     # Hessian factorizations, at most one per step
     final_update: float
-    weak_residual: float
+    weak_residual: float    # interior gradient over its terms' magnitudes
+    start: str              # "warm" (the given start) or "secant" (predicted)
+    stop: str               # "update below tolerance" or "rounding floor"
 
 
 @dataclass
@@ -125,7 +133,8 @@ class SolveReport:
                 f"  k={s.k:<6g} iterations={s.iterations:<4d} "
                 f"factorizations={s.factorizations:<4d} "
                 f"final_update={s.final_update:.3e} "
-                f"weak_residual={s.weak_residual:.3e}"
+                f"weak_residual={s.weak_residual:.3e} "
+                f"start={s.start} stop={s.stop}"
             )
         for a, b, gap in zip(self.per_k, self.per_k[1:], self.gaps):
             lines.append(f"  gap |u_{b.k:g} - u_{a.k:g}|_sup = {gap:.3e}")
@@ -176,14 +185,34 @@ def _nested_dissection(mj: int, mi: int) -> np.ndarray:
     """Row-major ids of an mj x mi block in nested-dissection order: split
     across the longer side by a one-node separator numbered after both
     halves, down to two nodes (George, SIAM J. Numer. Anal. 10 (1973)
-    345-363)."""
-    def order(ids):
-        if ids.size <= 2:
-            return [ids.ravel()]
-        ids = ids.T if ids.shape[1] > ids.shape[0] else ids
-        s = len(ids) // 2
-        return order(ids[:s]) + order(ids[s + 1:]) + [ids[s]]
-    return np.concatenate(order(np.arange(mj * mi).reshape(mj, mi)))
+    345-363).
+
+    A block's order depends on its shape alone, so each distinct shape is
+    ordered once, smallest first, from its halves' orders.
+    """
+    shapes, stack = set(), [(mj, mi)]
+    while stack:
+        shape = stack.pop()
+        if shape in shapes:
+            continue
+        shapes.add(shape)
+        r, c = shape
+        if r * c > 2:
+            stack += [(c, r)] if c > r else [(r // 2, c), (r - r // 2 - 1, c)]
+    order = {}
+    # a wide block is ordered as its transpose, which sorts before it
+    for r, c in sorted(shapes, key=lambda rc: (rc[0] * rc[1], rc[1] > rc[0])):
+        if r * c <= 2:
+            order[r, c] = np.arange(r * c)
+        elif c > r:
+            t = order[c, r]
+            order[r, c] = t % r * c + t // r
+        else:
+            s = r // 2
+            order[r, c] = np.concatenate([order[s, c],
+                                          order[r - s - 1, c] + (s + 1) * c,
+                                          s * c + np.arange(c)])
+    return order[mj, mi]
 
 
 class _InteriorPattern:
@@ -295,14 +324,21 @@ class _EnergyModel:
     line search, which leaves Armijo comparisons exact.
     """
 
-    def __init__(self, spec: ProblemSpec, k: float):
+    converged = "update below tolerance"     # _newton's stop when solved
+
+    def __init__(self, spec: ProblemSpec, k: float,
+                 tq: np.ndarray | None = None):
+        """``tq``: A^t A at the Gauss points (``_interp_gp`` of
+        ``_frame_metric_pack``), shared by the models of one continuation;
+        built from ``spec.frame`` if None."""
         self.k, self.stage = k, f"kp(x)-energy Hessian at k={k:g}"
         self.factorizations = 0
         self.grid = grid = spec.grid
         pat = self.pattern = _interior_pattern(grid)
         self.gidx, self.interior = pat.gidx, pat.interior
         self.bx, self.by, self.detj = pat.bx, pat.by, pat.detj
-        self.tq = _interp_gp(_frame_metric_pack(spec.frame), self.gidx)
+        self.tq = (_interp_gp(_frame_metric_pack(spec.frame), self.gidx)
+                   if tq is None else tq)
         self.kp_nodal = k * np.asarray(spec.p, dtype=float)
         self.kpq = _interp_gp(self.kp_nodal, self.gidx)
         self.delta2 = _DELTA_REG ** 2
@@ -336,13 +372,36 @@ class _EnergyModel:
         return (self.detj * float(np.sum(dens))
                 - float(self.load(logs) @ ev.u.ravel()))
 
+    def below(self, u: np.ndarray, v: np.ndarray) -> bool:
+        """Whether the energy of u is below that of v, both normalized at
+        the larger of their scales."""
+        a, b = self.evaluate(u), self.evaluate(v)
+        logs = max(a.log_scale, b.log_scale)
+        return self.energy(a, logs) < self.energy(b, logs)
+
+    def _elements(self, ev: _GaussValues, logs: float) -> np.ndarray:
+        """Scaled element gradients, shape (ncell, 4 nodes)."""
+        m = np.exp(ev.logm - logs)
+        return self.detj * ((m * ev.f0) @ self.bx + (m * ev.f1) @ self.by)
+
+    def _assemble(self, rc: np.ndarray) -> np.ndarray:
+        return np.bincount(self.gidx.ravel(), weights=rc.ravel(),
+                           minlength=self.grid.n_nodes)
+
     def gradient(self, ev: _GaussValues, logs: float) -> np.ndarray:
         """Scaled energy gradient over all nodes (boundary rows included)."""
-        m = np.exp(ev.logm - logs)
-        rc = self.detj * ((m * ev.f0) @ self.bx + (m * ev.f1) @ self.by)
-        r = np.bincount(self.gidx.ravel(), weights=rc.ravel(),
-                        minlength=self.grid.n_nodes)
-        return r - self.load(logs)
+        return self._assemble(self._elements(ev, logs)) - self.load(logs)
+
+    def weak_residual(self, ev: _GaussValues) -> float:
+        """Interior gradient norm relative to the norm of its terms'
+        magnitudes (assembled |element gradients| plus |load|): a relative
+        figure at any eps and k, near rounding once the stage resolves."""
+        logs = ev.log_scale
+        rc, load = self._elements(ev, logs), self.load(logs)
+        r = (self._assemble(rc) - load)[self.interior]
+        scale = np.linalg.norm(
+            (self._assemble(np.abs(rc)) + np.abs(load))[self.interior])
+        return float(np.linalg.norm(r) / (scale if scale > 0 else 1.0))
 
     def hessian(self, ev: _GaussValues, logs: float) -> np.ndarray:
         """Scaled energy Hessian: C = m T + m (kp-2)/n^2 (T xi)(T xi)^t,
@@ -411,8 +470,10 @@ def _newton(model, u: np.ndarray, max_steps: int):
     step the last factors are reused (a chord step, Kelley, *Solving
     Nonlinear Equations with Newton's Method*, SIAM 2003, ch. 5.4) if their
     direction descends and is at most ``_CHORD_CONTRACTION`` times the last
-    update.  Returns (state, step lengths) once ``model.solved(state, last
-    update)`` or at the rounding floor of a fresh step.
+    update.  Returns (state, step lengths, stop reason): ``model.converged``
+    once ``model.solved(state, last update)``, or else "rounding floor"
+    after a fresh step whose predicted decrease is below rounding in the
+    merit.
     """
     state, history, factors, full = model.evaluate(u), [], None, False
     while not model.solved(state, history[-1] if history else math.inf):
@@ -452,9 +513,9 @@ def _newton(model, u: np.ndarray, max_steps: int):
             raise NewtonStall(model, "line search failed", state.u, history)
         history.append(alpha * dmax)
         state, full = trial, alpha == 1.0
-        if floor and fresh:
-            break
-    return state, history
+        if floor and fresh and not model.solved(state, history[-1]):
+            return state, history, "rounding floor"
+    return state, history, model.converged
 
 
 def harmonic_extension(grid: Grid2D, frame: FrameField,
@@ -472,50 +533,67 @@ def harmonic_extension(grid: Grid2D, frame: FrameField,
     return u
 
 
-def solve_pk(spec: ProblemSpec, k: float,
-             init: np.ndarray | None = None) -> tuple[np.ndarray, PkStats]:
+def solve_pk(spec: ProblemSpec, k: float, init: np.ndarray | None = None,
+             predicted: np.ndarray | None = None,
+             tq: np.ndarray | None = None) -> tuple[np.ndarray, PkStats]:
     """Solve -Delta_{X,kp(x)} u = eps^{kp(x)-1}, u = f on the boundary, by
     :func:`_newton` on the convex regularized energy from ``init`` or the
     harmonic extension of f, until an update falls below ``_NEWTON_TOL``.
+
+    A ``predicted`` start (same boundary values) replaces the warm start
+    if its k-energy is lower, both taken at one normalization; ``tq`` is
+    the frame tensor at the Gauss points, see :class:`_EnergyModel`.
     """
     u = (np.asarray(init, dtype=float).copy() if init is not None
          else harmonic_extension(spec.grid, spec.frame, spec.f))
-    model = _EnergyModel(spec, k)
-    ev, history = _newton(model, u, _NEWTON_MAX_ITER)
-    # weak residual of the final iterate in the normalized energy gradient
-    scale = np.linalg.norm(model.load(ev.log_scale)[model.interior])
-    weak = float(np.linalg.norm(model.residual(ev))
-                 / (scale if scale > 0 else 1.0))
+    model, start = _EnergyModel(spec, k, tq), "warm"
+    if predicted is not None and model.below(predicted, u):
+        u, start = predicted, "secant"
+    ev, history, stop = _newton(model, u, _NEWTON_MAX_ITER)
     return ev.u, PkStats(k=k, iterations=len(history),
                          factorizations=model.factorizations,
-                         final_update=history[-1], weak_residual=weak)
+                         final_update=history[-1],
+                         weak_residual=model.weak_residual(ev),
+                         start=start, stop=stop)
 
 
 def continue_k(spec: ProblemSpec,
                init: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Warm-started continuation along the k schedule.
+    """Predictor-corrector continuation along the k schedule.
 
-    Each k starts Newton from the previous minimizer (the first from
-    ``init`` or the harmonic extension).  The continuation stops early
-    once successive minimizers differ by less than ``continuation_tol``.
-    With eps != 0 it solves the Jensen auxiliary equation: eps > 0
-    targets the min form, eps < 0 the max form.  A Newton failure
-    propagates, tagged with its k.
+    The first k starts Newton from ``init`` or the harmonic extension, the
+    second from the first minimizer.  From the third on, with u0 and u1
+    the minimizers at k0 < k1, the prediction is u1 + c (u1 - u0), c =
+    (1/k - 1/k1) / (1/k1 - 1/k0), linear in 1/k and 0.5 on a doubling
+    schedule; :func:`solve_pk` starts from it only where its k-energy is
+    below u1's.  The frame tensor at the Gauss points is built once and
+    shared by every k.  The continuation stops early once successive
+    minimizers differ by less than ``continuation_tol``.  With eps != 0
+    it solves the Jensen auxiliary equation: eps > 0 targets the min
+    form, eps < 0 the max form.  A Newton failure propagates, tagged with
+    its k.
     """
     cfg = spec.config
     if not cfg.k_schedule:
         raise ValueError("empty k schedule")
     t0 = time.perf_counter()
-    report, u, prev = SolveReport(), init, None
+    tq = _interp_gp(_frame_metric_pack(spec.frame),
+                    _interior_pattern(spec.grid).gidx)
+    report, u, path = SolveReport(), init, []   # path: last two (k, u_k)
     for k in cfg.k_schedule:
-        u, stats = solve_pk(spec, k, init=u)
+        predicted = None
+        if len(path) == 2:
+            (k0, u0), (k1, u1) = path
+            c = (1.0 / k - 1.0 / k1) / (1.0 / k1 - 1.0 / k0)
+            predicted = u1 + c * (u1 - u0)
+        u, stats = solve_pk(spec, k, init=u, predicted=predicted, tq=tq)
         report.per_k.append(stats)
-        if prev is not None:
-            gap = float(np.max(np.abs(u - prev)))
+        if path:
+            gap = float(np.max(np.abs(u - path[-1][1])))
             report.gaps.append(gap)
             if gap < cfg.continuation_tol:
                 break
-        prev = u
+        path = path[-1:] + [(k, u)]
     report.wall_time = time.perf_counter() - t0
     return u, report
 
@@ -527,6 +605,7 @@ class _PolishModel:
     """
 
     k, stage, factorizations = None, "infinity(x)-equation Jacobian", 0
+    converged = "converged"
     State = namedtuple("State", "u r")      # r: interior, row-major
 
     def __init__(self, frame: FrameField, p: np.ndarray):
@@ -567,8 +646,7 @@ def _polish_newton(u0: np.ndarray, frame: FrameField, p: np.ndarray,
     model = _PolishModel(frame, p)
     report.polish_initial = float(np.max(np.abs(model.evaluate(u0).r)))
     try:
-        state, history = _newton(model, u0, sweeps)
-        stop = "converged"
+        state, history, stop = _newton(model, u0, sweeps)
     except NewtonStall as exc:
         state, history, stop = model.evaluate(exc.u), exc.history, exc.reason
     jj, ii = np.unravel_index(np.argmax(np.abs(state.r)),

@@ -173,6 +173,21 @@ class TestInteriorPattern:
         order = _nested_dissection(*shape)
         assert np.array_equal(np.sort(order), np.arange(shape[0] * shape[1]))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (2, 9), (7, 7),
+                                       (9, 9), (8, 8), (16, 16), (5, 12),
+                                       (12, 5), (31, 47), (64, 33)])
+    def test_nested_dissection_matches_recursive_reference(self, shape):
+        # George's recursion, halves first and the separator after them
+        def order(ids):
+            if ids.size <= 2:
+                return [ids.ravel()]
+            ids = ids.T if ids.shape[1] > ids.shape[0] else ids
+            s = len(ids) // 2
+            return order(ids[:s]) + order(ids[s + 1:]) + [ids[s]]
+        ref = np.concatenate(order(np.arange(shape[0] * shape[1])
+                                   .reshape(shape)))
+        assert np.array_equal(_nested_dissection(*shape), ref)
+
     def test_interior_numbered_in_nested_dissection_order(self):
         g = build_grid(0.0, 1.0, 0.0, 1.5, 9, 7)
         pattern = _InteriorPattern(g)
@@ -421,24 +436,29 @@ class TestDirichletInfinity:
         assert np.min(v - u) > -1e-6
 
 
-def _varframe_33():
-    """The problem of configs/variable_frame.ini at 33x33."""
-    g = unit_grid(33)
+def _varframe(n=33, epsilon=0.0):
+    """The problem of configs/variable_frame.ini at n x n."""
+    g = unit_grid(n)
     fr = sample_frame(parse("1"), parse("0"), parse("0"), parse("1 + x/2"), g)
     X, Y = g.meshgrid()
     return ProblemSpec(grid=g, frame=fr, p=2.0 + X ** 2 / 4.0,
-                       f=1.0 + X / 4.0 + Y / 2.0)
+                       f=1.0 + X / 4.0 + Y / 2.0, epsilon=epsilon)
+
+
+def _saddle():
+    """A saddle whose equation degenerates at its critical point."""
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 33, 33)
+    X, Y = g.meshgrid()
+    return ProblemSpec(grid=g, frame=identity_frame(g), p=2.0 + X ** 2 / 4.0,
+                       f=X ** 2 - Y ** 2 + 0.3 * X * Y)
 
 
 class TestPolish:
     def test_saddle_rejected_keeps_continuation_field(self):
         # the equation degenerates at the critical point of the saddle:
         # Newton does not reach the discrete zero within the step cap
-        g = build_grid(-1.0, 1.0, -1.0, 1.0, 33, 33)
-        X, Y = g.meshgrid()
-        spec = ProblemSpec(grid=g, frame=identity_frame(g),
-                           p=2.0 + X ** 2 / 4.0,
-                           f=X ** 2 - Y ** 2 + 0.3 * X * Y)
+        spec = _saddle()
+        g = spec.grid
         u, report = solve_dirichlet_infinity(spec)
         u_cont, _ = continue_k(spec)
         assert np.array_equal(u, u_cont)
@@ -452,7 +472,7 @@ class TestPolish:
         assert "rejected" in report.format()
 
     def test_converged_polish_reported(self):
-        spec = _varframe_33()
+        spec = _varframe()
         u, report = solve_dirichlet_infinity(spec)
         res = solvers.infinity_x_residual_field(u, spec.frame, spec.p)
         assert report.polish_accepted is True
@@ -473,7 +493,7 @@ class TestPolish:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "splu", counting)
-        spec = _varframe_33()
+        spec = _varframe()
         _, report = solve_dirichlet_infinity(spec)
         assert report.polish_accepted is True
         assert calls.count("MMD_AT_PLUS_A") == report.polish_factorizations
@@ -485,7 +505,7 @@ class TestPolish:
     def test_start_independent(self):
         # Newton from the harmonic extension alone and from the
         # continuation field lands on the same discrete zero
-        spec = _varframe_33()
+        spec = _varframe()
         starts = [harmonic_extension(spec.grid, spec.frame, spec.f),
                   continue_k(spec)[0]]
         reports = [SolveReport(), SolveReport()]
@@ -495,7 +515,7 @@ class TestPolish:
         assert np.max(np.abs(out[0] - out[1])) <= 1e-9
 
     def test_failed_factorization_returns_start(self, monkeypatch):
-        spec = _varframe_33()
+        spec = _varframe()
         u0 = harmonic_extension(spec.grid, spec.frame, spec.f)
 
         def singular(*args, **kwargs):
@@ -528,3 +548,106 @@ class TestPolish:
             errors.append(float(np.max(np.abs(u - exact))))
         ratios = [a / b for a, b in zip(errors, errors[1:])]
         assert min(ratios) >= 3.5, (errors, ratios)
+
+
+class TestPredictorCorrector:
+    """Secant-predicted starts along the k schedule, guarded by energy."""
+
+    @pytest.mark.parametrize("n", [17, 33])
+    def test_fields_match_plain_warm_starts(self, n, monkeypatch):
+        # each k's minimizer and every gap are those of a loop that starts
+        # each k from the last minimizer
+        spec = _varframe(n)
+        fields, real = [], solvers.solve_pk
+
+        def recording(*args, **kwargs):
+            u, stats = real(*args, **kwargs)
+            fields.append(u)
+            return u, stats
+
+        monkeypatch.setattr(solvers, "solve_pk", recording)
+        _, report = continue_k(spec)
+        assert "secant" in [s.start for s in report.per_k]
+        assert len(fields) == len(report.per_k)
+        u, gaps = None, []
+        for k, got in zip(spec.config.k_schedule, fields):
+            prev, (u, _) = u, real(spec, k, init=u)
+            assert np.max(np.abs(got - u)) <= 1e-8, k
+            if prev is not None:
+                gaps.append(float(np.max(np.abs(u - prev))))
+        assert np.allclose(report.gaps, gaps, rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("problem", [lambda: _varframe(17), _saddle],
+                             ids=["varframe17", "saddle"])
+    def test_starts_never_raise_the_energy(self, problem, monkeypatch):
+        # the start Newton takes at each k has a k-energy no higher than
+        # the previous minimizer's, at one normalization
+        runs, real = [], solvers._newton
+
+        def recording(model, u, max_steps):
+            out = real(model, u, max_steps)
+            runs.append((model, u.copy(), out[0].u))
+            return out
+
+        monkeypatch.setattr(solvers, "_newton", recording)
+        _, report = continue_k(problem())
+        assert "secant" in [s.start for s in report.per_k]
+        for (_, _, prev), (model, start, _), stats in zip(
+                runs, runs[1:], report.per_k[1:]):
+            a, b = model.evaluate(start), model.evaluate(prev)
+            logs = max(a.log_scale, b.log_scale)
+            if stats.start == "secant":
+                assert model.energy(a, logs) < model.energy(b, logs)
+            else:
+                assert np.array_equal(start, prev)
+
+    def test_guard_keeps_the_warm_start_on_the_saddle(self):
+        _, report = continue_k(_saddle())
+        starts = {s.k: s.start for s in report.per_k}
+        assert starts[8.0] == "secant" and starts[32.0] == "warm"
+        lines = report.format().splitlines()
+        assert "start=warm" in next(ln for ln in lines if "k=32 " in ln)
+
+    def test_frame_tensor_built_once_per_continuation(self, monkeypatch):
+        spec = _varframe(17)
+        warm = harmonic_extension(spec.grid, spec.frame, spec.f)
+        calls, real = [], solvers._frame_metric_pack
+        monkeypatch.setattr(solvers, "_frame_metric_pack",
+                            lambda frame: calls.append(frame) or real(frame))
+        _, report = continue_k(spec, init=warm)
+        assert len(report.per_k) > 1
+        assert calls == [spec.frame]
+
+
+class TestStopReasons:
+    def test_varframe_stages_end_on_the_tolerance(self):
+        spec = _varframe(17)
+        _, report = continue_k(spec)
+        assert len(report.per_k) == len(spec.config.k_schedule)
+        for s in report.per_k:
+            assert s.stop == "update below tolerance", s
+            assert s.final_update < solvers._NEWTON_TOL
+        assert "stop=update below tolerance" in report.format()
+
+    def test_saddle_warm_start_stops_at_the_rounding_floor(self):
+        # from the k = 4 minimizer, Newton at k = 8 reaches the rounding
+        # floor of the energy with its update still above the tolerance
+        spec = _saddle()
+        u = None
+        for k in (2.0, 4.0):
+            u, stats = solve_pk(spec, k, init=u)
+            assert stats.stop == "update below tolerance"
+        _, stats = solve_pk(spec, 8.0, init=u)
+        assert stats.stop == "rounding floor"
+        assert stats.final_update > solvers._NEWTON_TOL
+        assert "stop=rounding floor" in SolveReport(per_k=[stats]).format()
+
+    @pytest.mark.parametrize("eps", [0.3, -0.3, 0.0])
+    def test_weak_residual_small_on_resolved_stages(self, eps):
+        # relative to the magnitudes of its terms, not to the load
+        # eps^(kp-1), which falls far below them at large k
+        _, report = continue_k(_varframe(17, eps))
+        resolved = [s for s in report.per_k
+                    if s.stop == "update below tolerance"]
+        assert len(resolved) == len(report.per_k)
+        assert max(s.weak_residual for s in resolved) <= 1e-6
