@@ -77,7 +77,7 @@ def load_problem(path: str | Path) -> ProblemSpec:
     cfg_kwargs = {}
     if cp.has_section("solver"):
         conv = {"k_schedule": lambda s: tuple(float(t) for t in s.split(",")),
-                "continuation_tol": float, "polish_sweeps": int}
+                "polish_sweeps": int}
         for key in cp.options("solver"):
             if key not in conv:
                 raise ConfigError(f"unknown key solver.{key}")

@@ -5,13 +5,10 @@ is the Euler-Lagrange equation of a convex regularized energy, which is
 minimized by Newton's method with an Armijo line search.  Increasing k
 along a schedule gives the surrogate for the uniform limit u_infinity; the
 start is the frame-harmonic extension, the minimizer of the quadratic
-energy at kp = 2, which one Newton step finds.  Each k after the second
-starts from the secant extrapolation in 1/k of the last two minimizers
-when its energy is below the last minimizer's, and from that minimizer
-otherwise (a predictor-corrector continuation with Newton as the
-corrector, Allgower-Georg, *Numerical Continuation Methods*, Springer
-1990, ch. 2).  The frame tensor at the Gauss points is built once per
-continuation.
+energy at kp = 2, which one Newton step finds.  From the third k on,
+Newton starts from a secant extrapolation in 1/k guarded by the k-energy
+(a predictor-corrector continuation with Newton as the corrector,
+Allgower-Georg, *Numerical Continuation Methods*, Springer 1990, ch. 2).
 
 The energy is evaluated over bilinear elements (2x2 Gauss points,
 coefficients interpolated from the nodes), once per iterate.  Its Hessian
@@ -29,7 +26,7 @@ import functools
 import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,14 +65,11 @@ class SolverConfig:
     """Settings of the continuation and the polish."""
 
     k_schedule: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-    continuation_tol: float = 1e-4  # sup-norm gap between successive k
     polish_sweeps: int = 20        # cap on global Newton steps at eps = 0
 
     def __post_init__(self):
         if not all(b > a for a, b in zip(self.k_schedule, self.k_schedule[1:])):
             raise ValueError("k_schedule must be strictly increasing")
-        if self.continuation_tol <= 0:
-            raise ValueError("continuation_tol must be positive")
         if self.polish_sweeps < 0:
             raise ValueError("polish_sweeps must be >= 0 (0 skips the polish)")
 
@@ -181,6 +175,12 @@ def _frame_metric_pack(frame: FrameField) -> np.ndarray:
     return ata[..., [0, 0, 1], [0, 1, 1]]
 
 
+def _frame_tensor(frame: FrameField) -> np.ndarray:
+    """A^t A at the Gauss points, shape (ncell, 4gp, 3)."""
+    return _interp_gp(_frame_metric_pack(frame),
+                      _interior_pattern(frame.grid).gidx)
+
+
 def _nested_dissection(mj: int, mi: int) -> np.ndarray:
     """Row-major ids of an mj x mi block in nested-dissection order: split
     across the longer side by a one-node separator numbered after both
@@ -188,31 +188,19 @@ def _nested_dissection(mj: int, mi: int) -> np.ndarray:
     345-363).
 
     A block's order depends on its shape alone, so each distinct shape is
-    ordered once, smallest first, from its halves' orders.
+    ordered once.
     """
-    shapes, stack = set(), [(mj, mi)]
-    while stack:
-        shape = stack.pop()
-        if shape in shapes:
-            continue
-        shapes.add(shape)
-        r, c = shape
-        if r * c > 2:
-            stack += [(c, r)] if c > r else [(r // 2, c), (r - r // 2 - 1, c)]
-    order = {}
-    # a wide block is ordered as its transpose, which sorts before it
-    for r, c in sorted(shapes, key=lambda rc: (rc[0] * rc[1], rc[1] > rc[0])):
+    @functools.cache
+    def order(r: int, c: int) -> np.ndarray:
         if r * c <= 2:
-            order[r, c] = np.arange(r * c)
-        elif c > r:
-            t = order[c, r]
-            order[r, c] = t % r * c + t // r
-        else:
-            s = r // 2
-            order[r, c] = np.concatenate([order[s, c],
-                                          order[r - s - 1, c] + (s + 1) * c,
-                                          s * c + np.arange(c)])
-    return order[mj, mi]
+            return np.arange(r * c)
+        if c > r:       # a wide block is ordered as its transpose
+            t = order(c, r)
+            return t % r * c + t // r
+        s = r // 2
+        return np.concatenate([order(s, c), order(r - s - 1, c) + (s + 1) * c,
+                               s * c + np.arange(c)])
+    return order(mj, mi)
 
 
 class _InteriorPattern:
@@ -293,17 +281,6 @@ _EXP_LIMIT = 700.0  # exponent guard after normalization (double overflow)
 _DELTA_REG = 1e-8   # gradient regularization inside the energy weights
 
 
-def _jensen_magnitude(eps: float, kp: np.ndarray,
-                      logw_max: float) -> np.ndarray:
-    """|eps|^{kp(x)-1} scaled by the weight normalization."""
-    if eps == 0.0:
-        return np.zeros_like(kp)
-    logmag = (kp - 1.0) * math.log(abs(eps)) - logw_max
-    if float(np.max(logmag)) > _EXP_LIMIT:
-        raise SolverError("right-hand side overflows after normalization")
-    return np.exp(logmag)
-
-
 # u at the Gauss points: n2 = delta^2 + ||A grad u||^2, its log, logm = log
 # of the weight n^{kp-2}, the flux T grad u and log_scale = max logm, whose
 # normalization makes overflow impossible (weights at the small end may
@@ -326,19 +303,16 @@ class _EnergyModel:
 
     converged = "update below tolerance"     # _newton's stop when solved
 
-    def __init__(self, spec: ProblemSpec, k: float,
-                 tq: np.ndarray | None = None):
-        """``tq``: A^t A at the Gauss points (``_interp_gp`` of
-        ``_frame_metric_pack``), shared by the models of one continuation;
-        built from ``spec.frame`` if None."""
+    def __init__(self, spec: ProblemSpec, k: float, tq: np.ndarray):
+        """``tq``: :func:`_frame_tensor` of ``spec.frame``, shared by the
+        models of one continuation."""
         self.k, self.stage = k, f"kp(x)-energy Hessian at k={k:g}"
         self.factorizations = 0
         self.grid = grid = spec.grid
         pat = self.pattern = _interior_pattern(grid)
         self.gidx, self.interior = pat.gidx, pat.interior
         self.bx, self.by, self.detj = pat.bx, pat.by, pat.detj
-        self.tq = (_interp_gp(_frame_metric_pack(spec.frame), self.gidx)
-                   if tq is None else tq)
+        self.tq = tq
         self.kp_nodal = k * np.asarray(spec.p, dtype=float)
         self.kpq = _interp_gp(self.kp_nodal, self.gidx)
         self.delta2 = _DELTA_REG ** 2
@@ -361,9 +335,17 @@ class _EnergyModel:
                             t[..., 1] * gx + t[..., 2] * gy)
 
     def load(self, logs: float) -> np.ndarray:
-        """Normalized lumped load vector over all nodes."""
-        return (_jensen_magnitude(self.eps, self.kp_nodal, logs).ravel()
-                * self.area)
+        """Normalized lumped load vector over all nodes: |eps|^{kp(x)-1}
+        scaled by the weight normalization, times the signed cell area."""
+        if self.eps == 0.0:
+            return np.zeros_like(self.area)
+        logmag = (self.kp_nodal - 1.0) * math.log(abs(self.eps)) - logs
+        over = logmag > _EXP_LIMIT
+        if np.any(over):
+            j, i = np.unravel_index(np.argmax(over), over.shape)
+            raise SolverError(f"right-hand side overflows after normalization"
+                              f" at k={self.k:g}, node (i={i}, j={j})")
+        return np.exp(logmag).ravel() * self.area
 
     def energy(self, ev: _GaussValues, logs: float) -> float:
         """Scaled energy; +inf on overflow (rejected by the line search)."""
@@ -445,7 +427,8 @@ class _EnergyModel:
                                  * (s * lu.solve(s * -grad)))
 
 
-_NEWTON_TOL = 1e-8        # sup-norm update that ends the continuation
+_NEWTON_TOL = 1e-8        # sup-norm update that ends a k stage
+_CONTINUATION_TOL = 1e-4  # sup-norm gap between successive k that ends it
 _POLISH_TOL = 1e-9        # interior residual sup-norm that ends the polish
 _CHORD_CONTRACTION = 0.1  # largest chord step over the last update
 _NEWTON_MAX_ITER = 500
@@ -527,75 +510,68 @@ def harmonic_extension(grid: Grid2D, frame: FrameField,
     """
     u = np.where(grid.interior_mask(), 0.0, np.asarray(f, dtype=float))
     model = _EnergyModel(ProblemSpec(grid=grid, frame=frame, f=u,
-                                     p=np.full(grid.shape, 2.0)), 1.0)
+                                     p=np.full(grid.shape, 2.0)), 1.0,
+                         _frame_tensor(frame))
     ev = model.evaluate(u)
     u.ravel()[model.interior] += _factor(model, ev)(model.residual(ev), ev)
     return u
-
-
-def solve_pk(spec: ProblemSpec, k: float, init: np.ndarray | None = None,
-             predicted: np.ndarray | None = None,
-             tq: np.ndarray | None = None) -> tuple[np.ndarray, PkStats]:
-    """Solve -Delta_{X,kp(x)} u = eps^{kp(x)-1}, u = f on the boundary, by
-    :func:`_newton` on the convex regularized energy from ``init`` or the
-    harmonic extension of f, until an update falls below ``_NEWTON_TOL``.
-
-    A ``predicted`` start (same boundary values) replaces the warm start
-    if its k-energy is lower, both taken at one normalization; ``tq`` is
-    the frame tensor at the Gauss points, see :class:`_EnergyModel`.
-    """
-    u = (np.asarray(init, dtype=float).copy() if init is not None
-         else harmonic_extension(spec.grid, spec.frame, spec.f))
-    model, start = _EnergyModel(spec, k, tq), "warm"
-    if predicted is not None and model.below(predicted, u):
-        u, start = predicted, "secant"
-    ev, history, stop = _newton(model, u, _NEWTON_MAX_ITER)
-    return ev.u, PkStats(k=k, iterations=len(history),
-                         factorizations=model.factorizations,
-                         final_update=history[-1],
-                         weak_residual=model.weak_residual(ev),
-                         start=start, stop=stop)
 
 
 def continue_k(spec: ProblemSpec,
                init: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Predictor-corrector continuation along the k schedule.
 
-    The first k starts Newton from ``init`` or the harmonic extension, the
-    second from the first minimizer.  From the third on, with u0 and u1
-    the minimizers at k0 < k1, the prediction is u1 + c (u1 - u0), c =
-    (1/k - 1/k1) / (1/k1 - 1/k0), linear in 1/k and 0.5 on a doubling
-    schedule; :func:`solve_pk` starts from it only where its k-energy is
-    below u1's.  The frame tensor at the Gauss points is built once and
-    shared by every k.  The continuation stops early once successive
-    minimizers differ by less than ``continuation_tol``.  With eps != 0
-    it solves the Jensen auxiliary equation: eps > 0 targets the min
-    form, eps < 0 the max form.  A Newton failure propagates, tagged with
-    its k.
+    Each k runs :func:`_newton` on the convex regularized kp(x) energy
+    until an update falls below ``_NEWTON_TOL``.  The first k starts from
+    ``init`` or the harmonic extension of f, the second from the first
+    minimizer.  From the third on, with u0 and u1 the minimizers at k0 <
+    k1, Newton starts from the prediction u1 + c (u1 - u0), c = (1/k -
+    1/k1) / (1/k1 - 1/k0), linear in 1/k and 0.5 on a doubling schedule,
+    if its k-energy is below u1's at one normalization, and from u1
+    otherwise.  Every k shares one frame tensor at the Gauss points.  The
+    continuation stops once successive minimizers differ by less than
+    ``_CONTINUATION_TOL``.  With eps != 0 it solves the Jensen auxiliary
+    equation: eps > 0 targets the min form, eps < 0 the max form.  A
+    Newton failure propagates, tagged with its k.
     """
-    cfg = spec.config
-    if not cfg.k_schedule:
+    if not spec.config.k_schedule:
         raise ValueError("empty k schedule")
     t0 = time.perf_counter()
-    tq = _interp_gp(_frame_metric_pack(spec.frame),
-                    _interior_pattern(spec.grid).gidx)
-    report, u, path = SolveReport(), init, []   # path: last two (k, u_k)
-    for k in cfg.k_schedule:
-        predicted = None
+    tq = _frame_tensor(spec.frame)
+    u = (np.asarray(init, dtype=float) if init is not None
+         else harmonic_extension(spec.grid, spec.frame, spec.f))
+    report, path = SolveReport(), []    # path: last two (k, u_k)
+    for k in spec.config.k_schedule:
+        model, start = _EnergyModel(spec, k, tq), "warm"
         if len(path) == 2:
             (k0, u0), (k1, u1) = path
             c = (1.0 / k - 1.0 / k1) / (1.0 / k1 - 1.0 / k0)
             predicted = u1 + c * (u1 - u0)
-        u, stats = solve_pk(spec, k, init=u, predicted=predicted, tq=tq)
-        report.per_k.append(stats)
+            if model.below(predicted, u):
+                u, start = predicted, "secant"
+        ev, history, stop = _newton(model, u, _NEWTON_MAX_ITER)
+        u = ev.u
+        report.per_k.append(PkStats(
+            k=k, iterations=len(history),
+            factorizations=model.factorizations, final_update=history[-1],
+            weak_residual=model.weak_residual(ev), start=start, stop=stop))
         if path:
             gap = float(np.max(np.abs(u - path[-1][1])))
             report.gaps.append(gap)
-            if gap < cfg.continuation_tol:
+            if gap < _CONTINUATION_TOL:
                 break
         path = path[-1:] + [(k, u)]
     report.wall_time = time.perf_counter() - t0
     return u, report
+
+
+def solve_pk(spec: ProblemSpec, k: float,
+             init: np.ndarray | None = None) -> tuple[np.ndarray, PkStats]:
+    """The kp(x) minimizer at one k: :func:`continue_k` on the schedule
+    (k,), from ``init`` or the harmonic extension of f."""
+    one = replace(spec, config=replace(spec.config, k_schedule=(k,)))
+    u, report = continue_k(one, init)
+    return u, report.per_k[0]
 
 
 class _PolishModel:

@@ -9,6 +9,7 @@ import pytest
 from infxlap import config as cfgio
 from infxlap.cli import main
 from infxlap.grid import build_grid
+from infxlap.operators import max_form_residual
 
 BASE = """\
 [domain]
@@ -65,8 +66,8 @@ class TestConfigLoading:
 
     def test_small_exponent_rejected(self, tmp_path):
         path = write_config(tmp_path)
-        text = open(path).read().replace("p = 2", "p = 1")
-        open(path, "w").write(text)
+        text = Path(path).read_text().replace("p = 2", "p = 1")
+        Path(path).write_text(text)
         with pytest.raises(cfgio.ConfigError, match="p_min"):
             cfgio.load_problem(path)
 
@@ -85,8 +86,9 @@ class TestConfigLoading:
 
     def test_frame_domain_error_is_a_config_error(self, tmp_path):
         path = write_config(tmp_path)
-        text = open(path).read().replace("a22 = 1", "a22 = sqrt(y - 0.5)")
-        open(path, "w").write(text)
+        text = Path(path).read_text().replace("a22 = 1",
+                                              "a22 = sqrt(y - 0.5)")
+        Path(path).write_text(text)
         with pytest.raises(cfgio.ConfigError,
                            match=r"frame not evaluable: sqrt of negative "
                                  r".* at node \(i=0, j=0\)"):
@@ -126,13 +128,16 @@ class TestConfigLoading:
     @pytest.mark.parametrize("key", ["damping", "picard_tol",
                                      "picard_max_iter", "cg_tol",
                                      "cg_max_iter", "delta_reg", "p_min",
-                                     "det_floor"])
+                                     "det_floor", "continuation_tol"])
     def test_removed_solver_key(self, tmp_path, key):
         # settings of the lagged-coefficient warm-up and the CG solve,
         # which Newton replaced, and fixed constants no problem set
-        extra = f"\n[solver]\n{key} = 1\n"
+        path = write_config(tmp_path, extra=f"\n[solver]\n{key} = 1\n")
         with pytest.raises(cfgio.ConfigError, match=f"solver.{key}"):
-            cfgio.load_problem(write_config(tmp_path, extra=extra))
+            cfgio.load_problem(path)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", path, "--out", str(tmp_path / "u.csv")])
+        assert exc.value.code == 2
 
 
 class TestFieldCsv:
@@ -222,6 +227,27 @@ class TestCliSolve:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["solve", "--out", "u.csv"],
+                                      ["verify", "--suite", "comparison"]],
+                             ids=["solve", "verify-comparison"])
+    def test_load_overflow_names_k_and_node(self, tmp_path, monkeypatch,
+                                            capsys, argv):
+        # eps^(kp-1) at eps = 1e200 overflows at the first k on every node
+        monkeypatch.chdir(tmp_path)
+        Path("overflow.ini").write_text((CONFIGS / "aronsson.ini").read_text()
+                                        + "\n[jensen]\nepsilon = 1e200\n")
+        assert main(argv + ["--config", "overflow.ini"]) == 1
+        err = capsys.readouterr().err
+        assert "right-hand side overflows" in err
+        assert "k=2, node (i=0, j=0)" in err
+
+    def test_report_k_max_truncates_the_schedule(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, f="x^2 + y")
+        assert main(["report", "--config", cfg, "--k-max", "8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        ks = [ln.split()[0] for ln in lines if ln.startswith("  k=")]
+        assert ks == ["k=2", "k=4", "k=8"]
+
 
 class TestCliResidualDistance:
     def test_residual_roundtrip(self, tmp_path):
@@ -254,6 +280,28 @@ class TestCliResidualDistance:
         rc = main(["distance", "--config", cfg, "--source", "zero",
                    "--out", str(tmp_path / "d.csv")])
         assert rc == 2
+
+    def test_distance_source_off_the_grid_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        rc = main(["distance", "--config", cfg, "--source", "999,0",
+                   "--out", str(tmp_path / "d.csv")])
+        assert rc == 2
+        assert "source node (999, 0)" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_max_form_residual_at_unit_eps(self, tmp_path):
+        # at eps = 0 the max form is evaluated with eps = 1
+        cfg = write_config(tmp_path)
+        spec = cfgio.load_problem(cfg)
+        X, Y = spec.grid.meshgrid()
+        u = X ** 2 + Y
+        ucsv, maxcsv = tmp_path / "u.csv", tmp_path / "max.csv"
+        cfgio.export_field(u, spec.grid, ucsv)
+        assert main(["residual", "--config", cfg, "--in", str(ucsv),
+                     "--out", str(tmp_path / "res.csv"),
+                     "--max-form-out", str(maxcsv)]) == 0
+        ref = max_form_residual(u, spec.frame, spec.p, 1.0)
+        assert np.array_equal(cfgio.import_field(maxcsv, spec.grid), ref)
 
 
 class TestCliVerify:

@@ -109,6 +109,13 @@ class TestParse:
             parse("x+")
         assert exc.value.position == 2
 
+    @pytest.mark.parametrize("text, position", [("x)", 1), ("(x", 2),
+                                                ("#", 0), ("1.2.3", 0)])
+    def test_error_offset(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.position == position
+
     def test_empty(self):
         with pytest.raises(ParseError):
             parse("   ")

@@ -11,7 +11,8 @@ from scipy.sparse.linalg import splu
 from infxlap import solvers
 from infxlap.expressions import parse
 from infxlap.grid import build_grid, sample_frame
-from infxlap.solvers import ProblemSpec, SolverConfig, _EnergyModel
+from infxlap.solvers import (ProblemSpec, SolverConfig, _EnergyModel,
+                             _frame_tensor)
 
 
 def varframe_spec(n=17):
@@ -71,7 +72,7 @@ def test_each_stage_ends_at_a_resolved_minimizer(n):
     u = solvers.harmonic_extension(spec.grid, spec.frame, spec.f)
     for k in spec.config.k_schedule:
         u, _ = solvers.solve_pk(spec, k, init=u)
-        model = _EnergyModel(spec, k)
+        model = _EnergyModel(spec, k, _frame_tensor(spec.frame))
         ev = model.evaluate(u)
         d = model.factor(ev)(model.residual(ev), ev)
         assert np.max(np.abs(d)) <= solvers._NEWTON_TOL, k
@@ -82,7 +83,7 @@ def test_reused_factors_follow_the_gradient_scale():
     # each iterate; factors reused at another scale must give the same
     # Newton direction
     spec = varframe_spec()
-    model = _EnergyModel(spec, 64.0)
+    model = _EnergyModel(spec, 64.0, _frame_tensor(spec.frame))
     ev = model.evaluate(solvers.harmonic_extension(spec.grid, spec.frame,
                                                    spec.f))
     factors = model.factor(ev)
@@ -98,7 +99,7 @@ def k64_hessian(n):
     """The equilibrated k = 64 Newton Hessian at the continuation field."""
     spec = varframe_spec(n)
     u, _ = solvers.continue_k(spec)
-    model = _EnergyModel(spec, 64.0)
+    model = _EnergyModel(spec, 64.0, _frame_tensor(spec.frame))
     ev = model.evaluate(u)
     data = model.hessian(ev, ev.log_scale)
     pattern = model.pattern

@@ -11,7 +11,7 @@ from infxlap import solvers
 from infxlap.solvers import (_DETA, _DXI, FactorizationError, NewtonStall,
                              ProblemSpec, SolveReport, SolverConfig,
                              SolverError, _EnergyModel, _frame_metric_pack,
-                             _interp_gp, _InteriorPattern,
+                             _frame_tensor, _interp_gp, _InteriorPattern,
                              _nested_dissection, continue_k,
                              _polish_newton, harmonic_extension,
                              solve_dirichlet_infinity, solve_pk)
@@ -41,10 +41,6 @@ class TestConfigValidation:
     def test_schedule_must_increase(self):
         with pytest.raises(ValueError):
             SolverConfig(k_schedule=(4.0, 2.0))
-
-    def test_positive_tolerances(self):
-        with pytest.raises(ValueError):
-            SolverConfig(continuation_tol=0.0)
 
     def test_negative_polish_cap_rejected(self):
         with pytest.raises(ValueError, match="polish_sweeps"):
@@ -260,7 +256,7 @@ class TestSolvePk:
         start = harmonic_extension(g, fr, f) + 0.05 * bump
         u, _ = solve_pk(spec, k, init=start)
         # the energy Newton minimizes, at one frozen normalization
-        model = _EnergyModel(spec, k)
+        model = _EnergyModel(spec, k, _frame_tensor(spec.frame))
         logs = model.evaluate(u).log_scale
         energy = lambda v: model.energy(model.evaluate(v), logs)  # noqa: E731
         e_sol = energy(u)
@@ -558,20 +554,21 @@ class TestPredictorCorrector:
         # each k's minimizer and every gap are those of a loop that starts
         # each k from the last minimizer
         spec = _varframe(n)
-        fields, real = [], solvers.solve_pk
+        fields, real = [], solvers._newton
 
-        def recording(*args, **kwargs):
-            u, stats = real(*args, **kwargs)
-            fields.append(u)
-            return u, stats
+        def recording(model, u, max_steps):
+            out = real(model, u, max_steps)
+            fields.append(out[0].u)
+            return out
 
-        monkeypatch.setattr(solvers, "solve_pk", recording)
+        monkeypatch.setattr(solvers, "_newton", recording)
         _, report = continue_k(spec)
+        monkeypatch.undo()
         assert "secant" in [s.start for s in report.per_k]
         assert len(fields) == len(report.per_k)
         u, gaps = None, []
         for k, got in zip(spec.config.k_schedule, fields):
-            prev, (u, _) = u, real(spec, k, init=u)
+            prev, (u, _) = u, solve_pk(spec, k, init=u)
             assert np.max(np.abs(got - u)) <= 1e-8, k
             if prev is not None:
                 gaps.append(float(np.max(np.abs(u - prev))))
