@@ -15,9 +15,9 @@ coefficients interpolated from the nodes), once per iterate.  Its Hessian
 is symmetric positive definite, reproduces linear fields exactly, and (for
 the unit frame at kp = 2) annihilates the harmonic polynomial x^2 - y^2
 exactly.  One Newton routine runs both stages, the continuation and the
-polish, and reuses the last factors while the steps contract (chord steps):
-SuperLU factors the Hessian's equilibrated interior block in symmetric mode
-in the grid's nested-dissection numbering, the Jacobian in minimum degree.
+polish.  SuperLU factors the Hessian's equilibrated interior block in the
+grid's nested-dissection numbering, the Jacobian in minimum degree; later
+steps reuse the factors (chord steps) or precondition CG or GMRES with them.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .grid import FrameField, Grid2D
 # infinity_x_residual_field stays importable here: perfbench traces it as
@@ -100,11 +100,14 @@ class ProblemSpec:
 class PkStats:
     k: float
     iterations: int
-    factorizations: int     # Hessian factorizations, at most one per step
     final_update: float
     weak_residual: float    # interior gradient over its terms' magnitudes
     start: str              # "warm" (the given start) or "secant" (predicted)
     stop: str               # "update below tolerance" or "rounding floor"
+    factorizations: int = 0     # Hessian factorizations, at most one a step
+    chord_steps: int = 0        # steps on the last factors alone
+    krylov_solves: int = 0      # preconditioned by them, tried
+    krylov_iterations: int = 0
 
 
 @dataclass
@@ -118,6 +121,7 @@ class SolveReport:
     polish_stop: str | None = None
     polish_steps: int = 0
     polish_factorizations: int = 0
+    polish_work: Counter = field(default_factory=Counter)   # PkStats' counts
     polish_worst: tuple[int, int] | None = None   # (i, j) of the last iterate
 
     def format(self) -> str:
@@ -126,6 +130,9 @@ class SolveReport:
             lines.append(
                 f"  k={s.k:<6g} iterations={s.iterations:<4d} "
                 f"factorizations={s.factorizations:<4d} "
+                f"chord_steps={s.chord_steps:<4d} "
+                f"krylov_solves={s.krylov_solves:<4d} "
+                f"krylov_iterations={s.krylov_iterations:<4d} "
                 f"final_update={s.final_update:.3e} "
                 f"weak_residual={s.weak_residual:.3e} "
                 f"start={s.start} stop={s.stop}"
@@ -133,11 +140,13 @@ class SolveReport:
         for a, b, gap in zip(self.per_k, self.per_k[1:], self.gaps):
             lines.append(f"  gap |u_{b.k:g} - u_{a.k:g}|_sup = {gap:.3e}")
         if self.polish_initial is not None:
-            i, j = self.polish_worst
+            i, j, w = *self.polish_worst, self.polish_work
             lines.append(
                 f"  polish: residual sup {self.polish_initial:.3e} -> "
                 f"{self.polish_final:.3e} after {self.polish_steps} Newton "
                 f"steps ({self.polish_factorizations} factorizations), "
+                f"{w['chord_steps']} chord steps, {w['krylov_solves']} Krylov "
+                f"solves ({w['krylov_iterations']} iterations), "
                 f"worst node (i={i}, j={j}): {self.polish_stop} "
                 f"({'accepted' if self.polish_accepted else 'rejected'})"
             )
@@ -307,17 +316,18 @@ class _EnergyModel:
         """``tq``: :func:`_frame_tensor` of ``spec.frame``, shared by the
         models of one continuation."""
         self.k, self.stage = k, f"kp(x)-energy Hessian at k={k:g}"
-        self.factorizations = 0
         self.grid = grid = spec.grid
         pat = self.pattern = _interior_pattern(grid)
         self.gidx, self.interior = pat.gidx, pat.interior
         self.bx, self.by, self.detj = pat.bx, pat.by, pat.detj
         self.tq = tq
-        self.kp_nodal = k * np.asarray(spec.p, dtype=float)
-        self.kpq = _interp_gp(self.kp_nodal, self.gidx)
+        kp_nodal = k * np.asarray(spec.p, dtype=float)
+        self.kpq = _interp_gp(kp_nodal, self.gidx)
+        self.ln_kpq = np.log(self.kpq)
         self.delta2 = _DELTA_REG ** 2
         self.eps = spec.epsilon
-        # interior cell areas carrying the sign of eps, 0.0 on the boundary
+        # log |eps|^{kp-1} (unused at eps = 0), interior cell areas signed
+        self.log_load = (kp_nodal - 1.0) * math.log(abs(self.eps) or 1.0)
         area = grid.hx * grid.hy
         self.area = np.where(grid.interior_mask(),
                              -area if self.eps < 0 else area, 0.0).ravel()
@@ -334,12 +344,12 @@ class _EnergyModel:
                             t[..., 0] * gx + t[..., 1] * gy,
                             t[..., 1] * gx + t[..., 2] * gy)
 
-    def load(self, logs: float) -> np.ndarray:
-        """Normalized lumped load vector over all nodes: |eps|^{kp(x)-1}
+    def load(self, logs: float) -> np.ndarray | float:
+        """Normalized lumped load over all nodes, 0.0 at eps = 0: |eps|^{kp-1}
         scaled by the weight normalization, times the signed cell area."""
         if self.eps == 0.0:
-            return np.zeros_like(self.area)
-        logmag = (self.kp_nodal - 1.0) * math.log(abs(self.eps)) - logs
+            return 0.0
+        logmag = self.log_load - logs
         over = logmag > _EXP_LIMIT
         if np.any(over):
             j, i = np.unravel_index(np.argmax(over), over.shape)
@@ -350,9 +360,9 @@ class _EnergyModel:
     def energy(self, ev: _GaussValues, logs: float) -> float:
         """Scaled energy; +inf on overflow (rejected by the line search)."""
         with np.errstate(over="ignore"):
-            dens = np.exp(0.5 * self.kpq * ev.ln_n2 - np.log(self.kpq) - logs)
-        return (self.detj * float(np.sum(dens))
-                - float(self.load(logs) @ ev.u.ravel()))
+            dens = np.exp(0.5 * self.kpq * ev.ln_n2 - self.ln_kpq - logs)
+        return self.detj * float(np.sum(dens)) - (
+            float(self.load(logs) @ ev.u.ravel()) if self.eps else 0.0)
 
     def below(self, u: np.ndarray, v: np.ndarray) -> bool:
         """Whether the energy of u is below that of v, both normalized at
@@ -416,11 +426,24 @@ class _EnergyModel:
     def solved(self, ev: _GaussValues, update: float) -> bool:
         return update < _NEWTON_TOL
 
+    def krylov(self, ev: _GaussValues, b, x, pre):
+        """Preconditioned CG on the SPD Hessian at ev from x = pre(b): x,
+        whether sup|pre(b - Hx)| <= forcing sup|pre(b)| by the cap, steps."""
+        op = self.pattern.matrix(self.hessian(ev, ev.log_scale))
+        z = p = pre(r := b - op @ x)
+        rz, tol = r @ z, _KRYLOV_FORCING * np.max(np.abs(x))
+        for i in range(_KRYLOV_MAX_ITER + 1):
+            if np.max(np.abs(z)) <= tol or i == _KRYLOV_MAX_ITER:
+                return x, bool(np.max(np.abs(z)) <= tol), i
+            a = rz / (p @ (q := op @ p))
+            x, z = x + a * p, pre(r := r - a * q)
+            p, rz = z + (r @ z / rz) * p, r @ z
+
     def factor(self, ev: _GaussValues):
         """Direction solver from the SuperLU factors of the equilibrated
         Hessian at ev; it keeps no Gauss-point values alive."""
         lu, s = self.pattern.factor(self.hessian(ev, ev.log_scale))
-        logs, self.factorizations = ev.log_scale, self.factorizations + 1
+        logs = ev.log_scale
         # energy, gradient and Hessian all carry exp(-log_scale), so
         # factors built at another scale are rescaled by the difference
         return lambda grad, at: (math.exp(at.log_scale - logs)
@@ -431,6 +454,8 @@ _NEWTON_TOL = 1e-8        # sup-norm update that ends a k stage
 _CONTINUATION_TOL = 1e-4  # sup-norm gap between successive k that ends it
 _POLISH_TOL = 1e-9        # interior residual sup-norm that ends the polish
 _CHORD_CONTRACTION = 0.1  # largest chord step over the last update
+_KRYLOV_FORCING = 1e-4    # preconditioned linear residual over pre(-g)
+_KRYLOV_MAX_ITER = 10     # Krylov iterations before the stage refactors
 _NEWTON_MAX_ITER = 500
 
 
@@ -450,35 +475,50 @@ def _newton(model, u: np.ndarray, max_steps: int):
     ``model.factor(state)`` returns a direction solver ``(g, state) -> d``
     for ``g = model.residual(state)``; ``merit(state, ref)`` is normalized
     at ref and has the derivative ``slope(g, d)`` along d.  After a full
-    step the last factors are reused (a chord step, Kelley, *Solving
-    Nonlinear Equations with Newton's Method*, SIAM 2003, ch. 5.4) if their
-    direction descends and is at most ``_CHORD_CONTRACTION`` times the last
-    update.  Returns (state, step lengths, stop reason): ``model.converged``
-    once ``model.solved(state, last update)``, or else "rounding floor"
-    after a fresh step whose predicted decrease is below rounding in the
-    merit.
+    step the last factors give a chord step (Kelley, *Solving Nonlinear
+    Equations with Newton's Method*, SIAM 2003, ch. 5.4) if it descends and
+    is at most ``_CHORD_CONTRACTION`` times the last update; else, and off
+    the floor for all their later directions, they precondition
+    ``model.krylov`` at the iterate from their direction if that is at most
+    the last update (inexact Newton, Eisenstat-Walker, SIAM J. Sci. Comput.
+    17 (1996) 16-32).  It refactors otherwise, where the Krylov direction
+    does not descend above rounding, and after a step that missed the
+    forcing term (which ends no stage); ``model.work`` counts all three.
+    Returns (state, step lengths, stop reason): ``model.converged`` once
+    ``model.solved(state, last update)``, else "rounding floor".
     """
     state, history, factors, full = model.evaluate(u), [], None, False
-    while not model.solved(state, history[-1] if history else math.inf):
+    stale, update, model.work = False, math.inf, Counter()
+    while not model.solved(state, update):
         if len(history) >= max_steps:
             raise NewtonStall(model, "step cap", state.u, history)
         g = model.residual(state)
-        d = factors(g, state) if full else None
-        # a chord step must descend and contract the last update
-        fresh = d is None or not (model.slope(g, d) < 0.0 and float(
-            np.max(np.abs(d))) <= _CHORD_CONTRACTION * history[-1])
-        if fresh:
+        phi0 = model.merit(state, state)
+        # at the floor the line search cannot tell a step from rounding in
+        # the merit: take the full step, and stop there after a fresh one
+        rounding = 16.0 * np.finfo(float).eps * max(abs(phi0), 1e-300)
+        d, met = factors(g, state) if full else None, True
+        if d is not None:
+            slope, size = model.slope(g, d), float(np.max(np.abs(d)))
+            if slope < 0.0 and (not stale or -slope <= rounding) and (
+                    size <= _CHORD_CONTRACTION * history[-1]):
+                model.work["chord_steps"] += 1
+            elif size > history[-1]:    # out of Newton's local regime
+                d = None
+            else:
+                d, met, its = model.krylov(state, -g, d,
+                                           lambda r: -factors(r, state))
+                model.work.update(krylov_solves=1, krylov_iterations=its)
+                d, stale = (d if -model.slope(g, d) > rounding else None), True
+        if fresh := d is None:
             factors = None      # free the old factors before factoring anew
-            factors = _factor(model, state, history)
+            factors, stale, met = _factor(model, state, history), False, True
+            model.work["factorizations"] += 1
             d = factors(g, state)
         slope = model.slope(g, d)
         if not slope < 0.0:
             raise NewtonStall(model, "no descent direction", state.u, history)
-        phi0 = model.merit(state, state)
-        # once the predicted decrease falls below rounding in the merit,
-        # the line search cannot tell the full step from noise: take it,
-        # and after a fresh Newton step stop, the solution is resolved
-        floor = -slope <= 16.0 * np.finfo(float).eps * max(abs(phi0), 1e-300)
+        floor = -slope <= rounding
         # keep the first trial step commensurate with the data scale; the
         # full Newton step is always tried once |d| is moderate
         step_cap = 10.0 * max(1.0, float(np.ptp(state.u)))
@@ -495,8 +535,9 @@ def _newton(model, u: np.ndarray, max_steps: int):
         else:
             raise NewtonStall(model, "line search failed", state.u, history)
         history.append(alpha * dmax)
-        state, full = trial, alpha == 1.0
-        if floor and fresh and not model.solved(state, history[-1]):
+        state, full = trial, alpha == 1.0 and met
+        update = alpha * dmax if met else math.inf
+        if floor and fresh and not model.solved(state, update):
             return state, history, "rounding floor"
     return state, history, model.converged
 
@@ -552,9 +593,9 @@ def continue_k(spec: ProblemSpec,
         ev, history, stop = _newton(model, u, _NEWTON_MAX_ITER)
         u = ev.u
         report.per_k.append(PkStats(
-            k=k, iterations=len(history),
-            factorizations=model.factorizations, final_update=history[-1],
-            weak_residual=model.weak_residual(ev), start=start, stop=stop))
+            k=k, iterations=len(history), final_update=history[-1],
+            weak_residual=model.weak_residual(ev), start=start, stop=stop,
+            **model.work))
         if path:
             gap = float(np.max(np.abs(u - path[-1][1])))
             report.gaps.append(gap)
@@ -580,7 +621,7 @@ class _PolishModel:
     direction is -||r||_2, so Armijo asks ||r_new|| <= (1 - 1e-4 a)||r||.
     """
 
-    k, stage, factorizations = None, "infinity(x)-equation Jacobian", 0
+    k, stage = None, "infinity(x)-equation Jacobian"
     converged = "converged"
     State = namedtuple("State", "u r")      # r: interior, row-major
 
@@ -603,12 +644,21 @@ class _PolishModel:
     def solved(self, state: State, update: float) -> bool:
         return float(np.max(np.abs(state.r))) < _POLISH_TOL
 
+    def krylov(self, state: State, b, x, pre):
+        """As ``_EnergyModel.krylov``; one GMRES cycle, 2-norm."""
+        op, steps, scale = self.kernel.jacobian(state.u), [], np.linalg.norm(x)
+        x, info = gmres(op, b, x, rtol=_KRYLOV_FORCING, maxiter=1,
+                        restart=_KRYLOV_MAX_ITER, callback=steps.append,
+                        M=LinearOperator(op.shape, pre, dtype=float),
+                        callback_type="pr_norm")
+        return x, info == 0 or steps[-1] * np.linalg.norm(b) <= (
+            _KRYLOV_FORCING * scale), len(steps)
+
     def factor(self, state: State):
         # a minimum-degree order on J + J^t with a weak pivot threshold
         # has ~40 % less fill than COLAMD and factors twice as fast
         lu = splu(self.kernel.jacobian(state.u), permc_spec="MMD_AT_PLUS_A",
                   diag_pivot_thresh=0.01)
-        self.factorizations += 1
         return lambda r, at: -lu.solve(r)
 
 
@@ -630,8 +680,8 @@ def _polish_newton(u0: np.ndarray, frame: FrameField, p: np.ndarray,
     report.polish_worst = (int(ii) + 1, int(jj) + 1)
     report.polish_final = float(np.max(np.abs(state.r)))
     report.polish_accepted, report.polish_stop = stop == "converged", stop
-    report.polish_steps = len(history)
-    report.polish_factorizations = model.factorizations
+    report.polish_steps, report.polish_work = len(history), model.work
+    report.polish_factorizations = model.work["factorizations"]
     return state.u if report.polish_accepted else u0
 
 

@@ -498,6 +498,34 @@ class TestPolish:
                 f"({report.polish_factorizations} factorizations)"
                 in report.format())
 
+    def test_gmres_saves_jacobian_factorizations(self, monkeypatch):
+        # at 65^2 the polish's chord steps fail where it factored its
+        # Jacobian anew (3 factorizations); GMRES preconditioned by the
+        # stale factors reaches the same discrete zero from one.  A Krylov
+        # solve that gives no direction brings the refactoring back.  Both
+        # run to a 1e-11 residual, so the comparison is of the zero, not
+        # of where each run stops
+        spec = _varframe(65)
+        u0, _ = continue_k(spec)
+        monkeypatch.setattr(solvers, "_POLISH_TOL", 1e-11)
+        krylov = SolveReport()
+        u = _polish_newton(u0, spec.frame, spec.p, 20, krylov)
+        monkeypatch.setattr(solvers._PolishModel, "krylov",
+                            lambda *args: (None, False, 0))
+        refactor = SolveReport()
+        v = _polish_newton(u0, spec.frame, spec.p, 20, refactor)
+        assert krylov.polish_accepted and refactor.polish_accepted
+        assert refactor.polish_factorizations == 3
+        assert krylov.polish_factorizations == 1
+        assert np.max(np.abs(u - v)) <= 1e-12
+        work = krylov.polish_work
+        assert work["krylov_solves"] > 0
+        assert (f"({krylov.polish_factorizations} factorizations), "
+                f"{work['chord_steps']} chord steps, "
+                f"{work['krylov_solves']} Krylov solves "
+                f"({work['krylov_iterations']} iterations)"
+                in krylov.format())
+
     def test_start_independent(self):
         # Newton from the harmonic extension alone and from the
         # continuation field lands on the same discrete zero
