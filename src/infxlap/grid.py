@@ -13,12 +13,14 @@ central differences at interior nodes (second order) and third-order
 one-sided stencils on the boundary rows, so that nesting two first
 derivatives stays second-order accurate up to the boundary.  The
 Riemannian distance is a shortest path on the 8-neighbor lattice graph,
-searched undirected from any number of sources in one Dijkstra call.
+searched undirected from any number of sources in one Dijkstra call; the
+graph is built once per frame and kept on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,7 +115,7 @@ class FrameField:
     """Per-node frame matrix A."""
 
     grid: Grid2D
-    a: np.ndarray          # (ny, nx, 2, 2)
+    a: np.ndarray          # (ny, nx, 2, 2), read-only
 
     @property
     def det(self) -> np.ndarray:
@@ -123,10 +125,18 @@ class FrameField:
     def scaled(self, c: float) -> "FrameField":
         return make_frame(self.grid, c * self.a)
 
+    @cached_property
+    def distance_graph(self):
+        """The edge graph :func:`riemannian_distance` searches, built on
+        first use and kept for the life of the frame (``a`` is read-only,
+        so it cannot go stale).  A build that raises caches nothing."""
+        return _distance_graph(self)
+
 
 def make_frame(grid: Grid2D, a: np.ndarray) -> FrameField:
-    """Wrap per-node matrices, checking invertibility."""
-    a = np.asarray(a, dtype=float)
+    """Wrap a read-only copy of per-node matrices, checking invertibility."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
     if a.shape != (grid.ny, grid.nx, 2, 2):
         raise ValueError(f"frame array must have shape {(grid.ny, grid.nx, 2, 2)}")
     frame = FrameField(grid=grid, a=a)
@@ -213,38 +223,13 @@ def symmetrized_hessian(u: np.ndarray, frame: FrameField) -> np.ndarray:
     return out
 
 
-def riemannian_distance(frame: FrameField, grid: Grid2D,
-                        source) -> np.ndarray:
-    """Shortest-path frame distances from one or many source nodes.
-
-    ``source`` is one ``(i, j)`` pair or an ``(m, 2)`` array of pairs;
-    the result has shape ``np.shape(source)[:-1] + (ny, nx)``, so a
-    single pair gives one ``(ny, nx)`` field.  Edge weight between
-    lattice neighbors P, Q is ||(M^t)^{-1}(Q - P)|| with M the entrywise
-    average of the endpoint frames (edge-midpoint quadrature of curve
-    length); it is the same both ways, so each of the 8-neighbor edges
-    is stored once, in one CSR matrix over the flat node index
-    ``j*nx + i``.  One undirected ``scipy.sparse.csgraph.dijkstra`` call
-    solves every source and returns m*n doubles.
-    """
-    # imported here so that runs which never ask for a distance do not
-    # load scipy's csgraph module
+def _distance_graph(frame: FrameField):
+    """CSR matrix of the forward 8-neighbor edges, weighted as
+    :func:`riemannian_distance` describes, over the flat node index."""
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
 
+    grid = frame.grid
     ny, nx = grid.shape
-    src = np.asarray(source, dtype=float)
-    if src.shape[-1:] != (2,):
-        raise ValueError(f"source must be (i, j) or an (m, 2) array, "
-                         f"got shape {src.shape}")
-    pairs = src.reshape(-1, 2)
-    bad = ~((pairs == np.round(pairs)) & (pairs >= 0) & (pairs < (nx, ny)))
-    if np.any(bad):
-        si, sj = (f"{v:g}" for v in pairs[np.argwhere(bad)[0, 0]])
-        raise ValueError(f"source node ({si}, {sj}) is not an integer "
-                         f"node of the {nx}x{ny} grid")
-
-    # Edge weights per forward direction, vectorized, with their endpoints.
     n = grid.n_nodes
     flat = np.arange(n).reshape(ny, nx)
     rows, cols, weights = [], [], []
@@ -271,12 +256,51 @@ def riemannian_distance(frame: FrameField, grid: Grid2D,
         rows.append(flat[js, is_].ravel())
         cols.append(flat[jd, id_].ravel())
         weights.append(np.sqrt(v0 * v0 + v1 * v1).ravel())
+    return csr_matrix((np.concatenate(weights),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
 
-    graph = csr_matrix((np.concatenate(weights),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n, n))
+
+def riemannian_distance(frame: FrameField, grid: Grid2D,
+                        source) -> np.ndarray:
+    """Shortest-path frame distances from one or many source nodes.
+
+    ``source`` is one ``(i, j)`` pair or an ``(m, 2)`` array of pairs;
+    the result has shape ``np.shape(source)[:-1] + (ny, nx)``, so a
+    single pair gives one ``(ny, nx)`` field.  ``grid`` must be
+    ``frame.grid``.  Edge weight between lattice neighbors P, Q is
+    ||(M^t)^{-1}(Q - P)|| with M the entrywise average of the endpoint
+    frames (edge-midpoint quadrature of curve length); it is the same
+    both ways, so each of the 8-neighbor edges is stored once, in one CSR
+    matrix over the flat node index ``j*nx + i``.  That matrix is
+    ``frame.distance_graph``: built on the frame's first call and kept on
+    the frame, about 4·n forward edges (1.05 M at 513², 13.6 MB with its
+    int32 indices).  A frame whose edge midpoint is singular raises
+    :class:`FrameSingular` on every call.  One undirected
+    ``scipy.sparse.csgraph.dijkstra`` call solves every source and
+    returns m*n doubles.
+    """
+    # imported here so that runs which never ask for a distance do not
+    # load scipy's csgraph module
+    from scipy.sparse.csgraph import dijkstra
+
+    if grid != frame.grid:
+        raise ValueError(f"grid {grid} is not the frame's grid {frame.grid}")
+    ny, nx = grid.shape
+    src = np.asarray(source, dtype=float)
+    if src.shape[-1:] != (2,):
+        raise ValueError(f"source must be (i, j) or an (m, 2) array, "
+                         f"got shape {src.shape}")
+    pairs = src.reshape(-1, 2)
+    bad = ~((pairs == np.round(pairs)) & (pairs >= 0) & (pairs < (nx, ny)))
+    if np.any(bad):
+        si, sj = (f"{v:g}" for v in pairs[np.argwhere(bad)[0, 0]])
+        raise ValueError(f"source node ({si}, {sj}) is not an integer "
+                         f"node of the {nx}x{ny} grid")
+
     ij = pairs.astype(np.intp)
-    dist = dijkstra(graph, directed=False, indices=ij[:, 1] * nx + ij[:, 0])
+    dist = dijkstra(frame.distance_graph, directed=False,
+                    indices=ij[:, 1] * nx + ij[:, 0])
     dist = dist.reshape(src.shape[:-1] + grid.shape)
     # rectangles are connected; keep a finite sentinel regardless
     dist[~np.isfinite(dist)] = 1e300

@@ -329,7 +329,8 @@ class TestCliVerify:
         cfg = write_config(tmp_path, n=17, f="1 + x/4 + y/4")
         assert main(["verify", "--config", cfg, "--suite", "harnack"]) == 0
 
-    def test_harnack_inapplicable_when_no_ball_fits(self, tmp_path, capsys):
+    def test_harnack_inapplicable_when_no_ball_fits(self, tmp_path, capsys,
+                                                    graph_builds):
         # a frame of 10 I shrinks distances tenfold: every drawn radius-2r
         # ball reaches the boundary
         cfg = Path(write_config(tmp_path, n=17, f="1 + x/4 + y/2"))
@@ -341,6 +342,8 @@ class TestCliVerify:
         assert rc == 1
         out = capsys.readouterr().out
         assert "INAPPLICABLE" in out and "radius 2r" in out
+        # the 100 drawn balls' distance fields share one frame's graph
+        assert len(graph_builds) == 1
 
     def test_lemma41_passes_on_positive_data(self, tmp_path):
         cfg = write_config(tmp_path, f="1 + x/4 + y/4")

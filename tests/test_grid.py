@@ -68,6 +68,23 @@ class TestFrames:
         with pytest.raises(ValueError):
             make_frame(g, np.ones((2, 2)))
 
+    def test_frame_array_is_a_read_only_copy(self):
+        # the cached distance graph depends on a, so a must not change
+        g = unit_grid()
+        a = np.tile(np.eye(2), g.shape + (1, 1))
+        fr = make_frame(g, a)
+        a[0, 0, 0, 0] = 5.0
+        assert fr.a[0, 0, 0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            fr.a[0, 0, 0, 0] = 5.0
+        frames = [fr.scaled(2.0), identity_frame(g),
+                  sample_frame(parse("1"), parse("x"), parse("0"),
+                               parse("2"), g)]
+        for other in frames:
+            assert not other.a.flags.writeable
+        assert np.all(frames[0].det == 4.0)
+        assert np.all(frames[2].det == 2.0)
+
 
 class TestGradient:
     def test_linear_exact(self):
@@ -218,16 +235,18 @@ class TestDistance:
 
     def test_singular_edge_named(self):
         # a11 alternates +1/-1 from x = 1/2 on, so the midpoints of the
-        # edges there are singular while every node has det +-1
+        # edges there are singular while every node has det +-1; a failed
+        # graph build caches nothing, so the second call raises too
         g = unit_grid(17)
         fr = sample_frame(parse("cos(16*pi*max(x, 0.5))"), parse("0"),
                           parse("0"), parse("1"), g)
-        with pytest.raises(FrameSingular) as exc:
-            riemannian_distance(fr, g, (8, 8))
-        i, j = exc.value.node
-        assert (i, j) != (0, 0)
-        assert i in (8, 9)
-        assert exc.value.det == 0.0
+        for _ in range(2):
+            with pytest.raises(FrameSingular) as exc:
+                riemannian_distance(fr, g, (8, 8))
+            i, j = exc.value.node
+            assert (i, j) != (0, 0)
+            assert i in (8, 9)
+            assert exc.value.det == 0.0
 
     @pytest.mark.parametrize("nx, ny", [(13, 7), (7, 13)])
     def test_matches_bellman_ford(self, nx, ny):
@@ -266,6 +285,23 @@ class TestDistance:
         d = riemannian_distance(fr, g, (si, sj))
         assert np.all(np.isfinite(ref))
         assert np.allclose(d, ref, rtol=1e-12, atol=0.0)
+
+    def test_grid_must_be_the_frames(self):
+        g = unit_grid(9)
+        other = build_grid(0.0, 2.0, 0.0, 1.0, 9, 9)
+        with pytest.raises(ValueError, match=r"xmax=2\.0.*xmax=1\.0"):
+            riemannian_distance(identity_frame(g), other, (0, 0))
+
+    def test_graph_built_once_per_frame(self, graph_builds):
+        g = unit_grid(9)
+        fr = sample_frame(parse("1"), parse("0"), parse("0"),
+                          parse("1 + x/2"), g)
+        single = riemannian_distance(fr, g, (3, 4))
+        multi = riemannian_distance(fr, g, [(3, 4), (0, 8)])
+        assert len(graph_builds) == 1 and graph_builds[0] is fr
+        assert np.array_equal(multi[0], single)
+        riemannian_distance(fr.scaled(2.0), g, (3, 4))
+        assert len(graph_builds) == 2
 
     def test_triangle_inequality_sampled(self):
         g = unit_grid(9)

@@ -1,5 +1,8 @@
 """Verification-check tests: comparison, Harnack, cutoff bound, eikonal."""
 
+import heapq
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,7 +35,46 @@ def _lipschitz_problem(name):
     return g, fr, rng.normal(size=g.shape)
 
 
+def _heapq_distances(fr, g, source):
+    """Binary-heap Dijkstra over the 8 neighbors, each edge weighed as
+    ||(M^t)^{-1}(Q - P)|| with M the mean of the endpoint frames."""
+    ny, nx = g.shape
+    dist = np.full(g.shape, np.inf)
+    dist[source[1], source[0]] = 0.0
+    heap = [(0.0, source[1], source[0])]
+    while heap:
+        d, j, i = heapq.heappop(heap)
+        if d > dist[j, i]:
+            continue
+        for dj, di in itertools.product((-1, 0, 1), repeat=2):
+            jq, iq = j + dj, i + di
+            if (dj, di) == (0, 0) or not (0 <= jq < ny and 0 <= iq < nx):
+                continue
+            mid = 0.5 * (fr.a[j, i] + fr.a[jq, iq])
+            w = np.linalg.norm(np.linalg.solve(mid.T, [di * g.hx, dj * g.hy]))
+            if d + w < dist[jq, iq]:
+                dist[jq, iq] = d + w
+                heapq.heappush(heap, (d + w, jq, iq))
+    return dist
+
+
+@pytest.mark.parametrize("sources", [(4, 11),
+                                     [(0, 0), (20, 16), (10, 8), (3, 15)]])
+def test_distances_match_heapq_oracle(sources):
+    g, fr, _ = _lipschitz_problem("full")
+    d = riemannian_distance(fr, g, sources)
+    ref = [_heapq_distances(fr, g, s) for s in np.reshape(sources, (-1, 2))]
+    np.testing.assert_allclose(d, np.reshape(ref, d.shape), rtol=1e-14,
+                               atol=0.0)
+
+
 class TestLipschitz:
+    def test_graph_built_once(self, graph_builds):
+        g, fr, f = _lipschitz_problem("varframe")
+        riemannian_distance(fr, g, (0, 0))
+        assert lipschitz_constant(f, g, fr) == lipschitz_constant(f, g, fr)
+        assert len(graph_builds) == 1 and graph_builds[0] is fr
+
     def test_constant_zero(self):
         g = unit_grid(9)
         fr = identity_frame(g)
