@@ -1,10 +1,11 @@
 """Problem configuration files and field CSV import/export.
 
 Config files are INI-style with sections ``[domain] [frame] [exponent]
-[boundary] [jensen] [solver]``; frame entries, the exponent, and the
-boundary data are expression strings.  Field CSVs carry a ``x,y,value``
-header and one row per node, row-major with y outer and x inner, printed
-with 17 significant digits so re-import is bitwise exact.
+[boundary] [jensen] [solver]``, and any other section or key is
+rejected; frame entries, the exponent, and the boundary data are
+expression strings.  Field CSVs carry a ``x,y,value`` header and one row
+per node, row-major with y outer and x inner, printed with 17 significant
+digits so re-import is bitwise exact and checks each node's coordinates.
 """
 
 from __future__ import annotations
@@ -23,12 +24,18 @@ class ConfigError(ValueError):
     """Problem file invalid; the message names section.key."""
 
 
-_REQUIRED = {
+_SOLVER = {"k_schedule": lambda s: tuple(float(t) for t in s.split(",")),
+           "polish_sweeps": int}
+# the keys each section may hold; the sections in _REQUIRED need all theirs
+_KEYS = {
     "domain": ["xmin", "xmax", "ymin", "ymax", "nx", "ny"],
     "frame": ["a11", "a12", "a21", "a22"],
     "exponent": ["p"],
     "boundary": ["f"],
+    "jensen": ["epsilon"],
+    "solver": list(_SOLVER),
 }
+_REQUIRED = ("domain", "frame", "exponent", "boundary")
 
 
 def _get(cp: configparser.ConfigParser, section: str, key: str) -> str:
@@ -64,25 +71,27 @@ def load_problem(path: str | Path) -> ProblemSpec:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if not cp.read(path):
         raise ConfigError(f"cannot read config file {path}")
-    for section, keys in _REQUIRED.items():
-        for key in keys:
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cp.options(section):
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown key {section}.{key}")
+    for section in _REQUIRED:
+        for key in _KEYS[section]:
             _get(cp, section, key)
 
     try:
         # build_grid converts the bounds with float and the sizes with int
-        grid = build_grid(*(cp.get("domain", k) for k in _REQUIRED["domain"]))
+        grid = build_grid(*(cp.get("domain", k) for k in _KEYS["domain"]))
     except ValueError as exc:
         raise ConfigError(f"bad domain: {exc}") from exc
 
     cfg_kwargs = {}
     if cp.has_section("solver"):
-        conv = {"k_schedule": lambda s: tuple(float(t) for t in s.split(",")),
-                "polish_sweeps": int}
         for key in cp.options("solver"):
-            if key not in conv:
-                raise ConfigError(f"unknown key solver.{key}")
             try:
-                cfg_kwargs[key] = conv[key](cp.get("solver", key))
+                cfg_kwargs[key] = _SOLVER[key](cp.get("solver", key))
             except ValueError as exc:
                 raise ConfigError(f"bad value for solver.{key}: {exc}") from exc
     try:
@@ -128,10 +137,19 @@ def export_field(field: np.ndarray, grid: Grid2D, path: str | Path) -> None:
 
 
 def import_field(path: str | Path, grid: Grid2D) -> np.ndarray:
-    """Read a field CSV written by :func:`export_field`, verifying layout."""
+    """Read a field CSV written by :func:`export_field` on ``grid``: its x
+    and y columns must equal the grid's node coordinates exactly."""
     raw = np.loadtxt(path, delimiter=",", skiprows=1)
     if raw.ndim != 2 or raw.shape != (grid.n_nodes, 3):
         raise ValueError(
             f"expected {grid.n_nodes} data rows of x,y,value in {path}"
         )
+    nodes = np.stack([X.ravel() for X in grid.meshgrid()], axis=1)
+    off = np.flatnonzero(np.any(raw[:, :2] != nodes, axis=1))
+    if off.size:
+        r = off[0]
+        (x, y), (gx, gy) = raw[r, :2].tolist(), nodes[r].tolist()
+        raise ValueError(f"data row {r + 1} of {path} is at (x, y) = "
+                         f"({x!r}, {y!r}), not at the grid node "
+                         f"({gx!r}, {gy!r})")
     return raw[:, 2].reshape(grid.shape)

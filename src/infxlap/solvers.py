@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,14 +46,14 @@ class SolverError(RuntimeError):
 
 class NewtonStall(SolverError):
     """A Newton iteration stopped for ``reason`` at ``k`` (None in the
-    polish); ``u`` is its last iterate, ``history`` its step lengths."""
+    polish): ``u`` is its last iterate, ``run`` its run, whose stop it sets."""
 
-    def __init__(self, model, reason: str, u: np.ndarray,
-                 history: list[float]):
-        last = f", last update {history[-1]:.3e}" if history else ""
+    def __init__(self, model, reason: str, u: np.ndarray, run: NewtonRun):
+        run.stop = reason
+        last = f", last update {run.final_update:.3e}" if run.history else ""
         super().__init__(f"Newton iteration ({model.stage}) stopped after "
-                         f"{len(history)} steps: {reason}{last}")
-        self.k, self.reason, self.u, self.history = model.k, reason, u, history
+                         f"{run.iterations} steps: {reason}{last}")
+        self.k, self.reason, self.u, self.run = model.k, reason, u, run
 
 
 class FactorizationError(NewtonStall):
@@ -87,27 +87,44 @@ class ProblemSpec:
 
     def __post_init__(self):
         if np.any(self.p < _P_MIN):
-            raise ValueError(
-                f"exponent below p_min={_P_MIN:g} "
-                f"(min sampled p = {np.min(self.p):g})"
-            )
-        bmask = self.grid.boundary_mask()
-        if not np.all(np.isfinite(self.f[bmask])):
+            raise ValueError(f"exponent below p_min={_P_MIN:g} "
+                             f"(min sampled p = {np.min(self.p):g})")
+        if not np.all(np.isfinite(self.f[self.grid.boundary_mask()])):
             raise ValueError("boundary data not finite on boundary nodes")
 
 
 @dataclass
-class PkStats:
-    k: float
-    iterations: int
-    final_update: float
-    weak_residual: float    # interior gradient over its terms' magnitudes
-    start: str              # "warm" (the given start) or "secant" (predicted)
-    stop: str               # "update below tolerance" or "rounding floor"
-    factorizations: int = 0     # Hessian factorizations, at most one a step
+class NewtonRun:
+    """What one :func:`_newton` run did: its steps, stop and linear solves."""
+
+    history: list[float] = field(default_factory=list)
+    stop: str = ""
+    factorizations: int = 0     # at most one a step
     chord_steps: int = 0        # steps on the last factors alone
     krylov_solves: int = 0      # preconditioned by them, tried
     krylov_iterations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
+
+    @property
+    def final_update(self) -> float:
+        return self.history[-1] if self.history else math.nan
+
+    def format_counts(self) -> str:
+        return " ".join([f"{name}={getattr(self, name):<4d}" for name in (
+            "iterations", "factorizations", "chord_steps", "krylov_solves",
+            "krylov_iterations")] + [f"final_update={self.final_update:.3e}"])
+
+
+@dataclass(kw_only=True)
+class PkStats(NewtonRun):
+    """A k stage's run, stopped at the tolerance or the rounding floor."""
+
+    k: float
+    start: str              # "warm" (the given start) or "secant" (predicted)
+    weak_residual: float    # interior gradient over its terms' magnitudes
 
 
 @dataclass
@@ -115,41 +132,30 @@ class SolveReport:
     per_k: list[PkStats] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)
     wall_time: float = 0.0
+    polish: NewtonRun | None = None     # None when no polish ran
     polish_initial: float | None = None
     polish_final: float | None = None
-    polish_accepted: bool | None = None
-    polish_stop: str | None = None
-    polish_steps: int = 0
-    polish_factorizations: int = 0
-    polish_work: Counter = field(default_factory=Counter)   # PkStats' counts
     polish_worst: tuple[int, int] | None = None   # (i, j) of the last iterate
+
+    @property
+    def polish_accepted(self) -> bool | None:     # None when no polish ran
+        return self.polish and self.polish.stop == _PolishModel.converged
 
     def format(self) -> str:
         lines = ["solve report"]
         for s in self.per_k:
-            lines.append(
-                f"  k={s.k:<6g} iterations={s.iterations:<4d} "
-                f"factorizations={s.factorizations:<4d} "
-                f"chord_steps={s.chord_steps:<4d} "
-                f"krylov_solves={s.krylov_solves:<4d} "
-                f"krylov_iterations={s.krylov_iterations:<4d} "
-                f"final_update={s.final_update:.3e} "
-                f"weak_residual={s.weak_residual:.3e} "
-                f"start={s.start} stop={s.stop}"
-            )
+            lines.append(f"  k={s.k:<6g} {s.format_counts()} "
+                         f"weak_residual={s.weak_residual:.3e} "
+                         f"start={s.start} stop={s.stop}")
         for a, b, gap in zip(self.per_k, self.per_k[1:], self.gaps):
             lines.append(f"  gap |u_{b.k:g} - u_{a.k:g}|_sup = {gap:.3e}")
-        if self.polish_initial is not None:
-            i, j, w = *self.polish_worst, self.polish_work
+        if self.polish is not None:
+            i, j = self.polish_worst
             lines.append(
                 f"  polish: residual sup {self.polish_initial:.3e} -> "
-                f"{self.polish_final:.3e} after {self.polish_steps} Newton "
-                f"steps ({self.polish_factorizations} factorizations), "
-                f"{w['chord_steps']} chord steps, {w['krylov_solves']} Krylov "
-                f"solves ({w['krylov_iterations']} iterations), "
-                f"worst node (i={i}, j={j}): {self.polish_stop} "
-                f"({'accepted' if self.polish_accepted else 'rejected'})"
-            )
+                f"{self.polish_final:.3e} {self.polish.format_counts()} "
+                f"worst node (i={i}, j={j}): {self.polish.stop} "
+                f"({'accepted' if self.polish_accepted else 'rejected'})")
         lines.append(f"  wall_time = {self.wall_time:.2f} s")
         return "\n".join(lines)
 
@@ -324,7 +330,6 @@ class _EnergyModel:
         kp_nodal = k * np.asarray(spec.p, dtype=float)
         self.kpq = _interp_gp(kp_nodal, self.gidx)
         self.ln_kpq = np.log(self.kpq)
-        self.delta2 = _DELTA_REG ** 2
         self.eps = spec.epsilon
         # log |eps|^{kp-1} (unused at eps = 0), interior cell areas signed
         self.log_load = (kp_nodal - 1.0) * math.log(abs(self.eps) or 1.0)
@@ -336,7 +341,7 @@ class _EnergyModel:
         uc = u.ravel()[self.gidx]                            # (ncell, 4)
         gx, gy = uc @ self.bx.T, uc @ self.by.T
         t = self.tq
-        n2 = (self.delta2 + t[..., 0] * gx * gx
+        n2 = (_DELTA_REG ** 2 + t[..., 0] * gx * gx
               + 2.0 * t[..., 1] * gx * gy + t[..., 2] * gy * gy)
         ln_n2 = np.log(n2)
         logm = 0.5 * (self.kpq - 2.0) * ln_n2
@@ -459,14 +464,14 @@ _KRYLOV_MAX_ITER = 10     # Krylov iterations before the stage refactors
 _NEWTON_MAX_ITER = 500
 
 
-def _factor(model, state, history=()):
+def _factor(model, state, run: NewtonRun | None = None):
     """``model.factor(state)``, raising :class:`FactorizationError`."""
     try:
         return model.factor(state)
     except RuntimeError as exc:
         raise FactorizationError(model, "factorization failed: SuperLU could"
                                  f" not factor the {model.stage}: {exc}",
-                                 state.u, list(history)) from exc
+                                 state.u, run or NewtonRun()) from exc
 
 
 def _newton(model, u: np.ndarray, max_steps: int):
@@ -483,15 +488,15 @@ def _newton(model, u: np.ndarray, max_steps: int):
     the last update (inexact Newton, Eisenstat-Walker, SIAM J. Sci. Comput.
     17 (1996) 16-32).  It refactors otherwise, where the Krylov direction
     does not descend above rounding, and after a step that missed the
-    forcing term (which ends no stage); ``model.work`` counts all three.
-    Returns (state, step lengths, stop reason): ``model.converged`` once
-    ``model.solved(state, last update)``, else "rounding floor".
+    forcing term (which ends no stage).  Returns (state, :class:`NewtonRun`),
+    stopped at ``model.converged`` once ``model.solved(state, last
+    update)``, else at "rounding floor"; a stall carries the run so far.
     """
-    state, history, factors, full = model.evaluate(u), [], None, False
-    stale, update, model.work = False, math.inf, Counter()
+    state, run, factors, full = model.evaluate(u), NewtonRun(), None, False
+    stale, update, history = False, math.inf, run.history
     while not model.solved(state, update):
         if len(history) >= max_steps:
-            raise NewtonStall(model, "step cap", state.u, history)
+            raise NewtonStall(model, "step cap", state.u, run)
         g = model.residual(state)
         phi0 = model.merit(state, state)
         # at the floor the line search cannot tell a step from rounding in
@@ -502,22 +507,23 @@ def _newton(model, u: np.ndarray, max_steps: int):
             slope, size = model.slope(g, d), float(np.max(np.abs(d)))
             if slope < 0.0 and (not stale or -slope <= rounding) and (
                     size <= _CHORD_CONTRACTION * history[-1]):
-                model.work["chord_steps"] += 1
+                run.chord_steps += 1
             elif size > history[-1]:    # out of Newton's local regime
                 d = None
             else:
                 d, met, its = model.krylov(state, -g, d,
                                            lambda r: -factors(r, state))
-                model.work.update(krylov_solves=1, krylov_iterations=its)
+                run.krylov_solves += 1
+                run.krylov_iterations += its
                 d, stale = (d if -model.slope(g, d) > rounding else None), True
         if fresh := d is None:
             factors = None      # free the old factors before factoring anew
-            factors, stale, met = _factor(model, state, history), False, True
-            model.work["factorizations"] += 1
+            factors, stale, met = _factor(model, state, run), False, True
+            run.factorizations += 1
             d = factors(g, state)
         slope = model.slope(g, d)
         if not slope < 0.0:
-            raise NewtonStall(model, "no descent direction", state.u, history)
+            raise NewtonStall(model, "no descent direction", state.u, run)
         floor = -slope <= rounding
         # keep the first trial step commensurate with the data scale; the
         # full Newton step is always tried once |d| is moderate
@@ -533,13 +539,13 @@ def _newton(model, u: np.ndarray, max_steps: int):
                 break
             alpha *= 0.5
         else:
-            raise NewtonStall(model, "line search failed", state.u, history)
+            raise NewtonStall(model, "line search failed", state.u, run)
         history.append(alpha * dmax)
         state, full = trial, alpha == 1.0 and met
         update = alpha * dmax if met else math.inf
         if floor and fresh and not model.solved(state, update):
-            return state, history, "rounding floor"
-    return state, history, model.converged
+            return state, replace(run, stop="rounding floor")
+    return state, replace(run, stop=model.converged)
 
 
 def harmonic_extension(grid: Grid2D, frame: FrameField,
@@ -590,12 +596,10 @@ def continue_k(spec: ProblemSpec,
             predicted = u1 + c * (u1 - u0)
             if model.below(predicted, u):
                 u, start = predicted, "secant"
-        ev, history, stop = _newton(model, u, _NEWTON_MAX_ITER)
+        ev, run = _newton(model, u, _NEWTON_MAX_ITER)
         u = ev.u
-        report.per_k.append(PkStats(
-            k=k, iterations=len(history), final_update=history[-1],
-            weak_residual=model.weak_residual(ev), start=start, stop=stop,
-            **model.work))
+        report.per_k.append(PkStats(k=k, start=start, **vars(run),
+                                    weak_residual=model.weak_residual(ev)))
         if path:
             gap = float(np.max(np.abs(u - path[-1][1])))
             report.gaps.append(gap)
@@ -667,21 +671,17 @@ def _polish_newton(u0: np.ndarray, frame: FrameField, p: np.ndarray,
     """At most ``sweeps`` steps (chord steps count) of :func:`_newton` on
     the interior infinity(x) residual, accepted once sup |r| < _POLISH_TOL;
     on a stop (step cap, failed line search or factorization) ``u0`` comes
-    back.  ``report`` gets the initial and last iterate's residual sup, the
-    verdict, the steps, factorizations, stop reason and the worst node."""
+    back.  ``report`` gets the run, both residual sups and the worst node."""
     model = _PolishModel(frame, p)
     report.polish_initial = float(np.max(np.abs(model.evaluate(u0).r)))
     try:
-        state, history, stop = _newton(model, u0, sweeps)
+        state, report.polish = _newton(model, u0, sweeps)
     except NewtonStall as exc:
-        state, history, stop = model.evaluate(exc.u), exc.history, exc.reason
+        state, report.polish = model.evaluate(exc.u), exc.run
     jj, ii = np.unravel_index(np.argmax(np.abs(state.r)),
                               np.subtract(u0.shape, 2))
     report.polish_worst = (int(ii) + 1, int(jj) + 1)
     report.polish_final = float(np.max(np.abs(state.r)))
-    report.polish_accepted, report.polish_stop = stop == "converged", stop
-    report.polish_steps, report.polish_work = len(history), model.work
-    report.polish_factorizations = model.work["factorizations"]
     return state.u if report.polish_accepted else u0
 
 

@@ -120,6 +120,18 @@ class TestConfigLoading:
         with pytest.raises(cfgio.ConfigError, match="solver.turbo"):
             cfgio.load_problem(write_config(tmp_path, extra=extra))
 
+    @pytest.mark.parametrize("f, extra, named", [
+        ("x", "\n[jensen]\nepsilonn = 1.0\n", r"jensen\.epsilonn"),
+        ("x", "\n[solverr]\nk_schedule = 2, 4\n", r"\[solverr\]"),
+        ("x\ng = y", "", r"boundary\.g"),
+    ], ids=["jensen-key", "section", "boundary-key"])
+    def test_unknown_name_rejected_in_any_section(self, tmp_path, f, extra,
+                                                  named):
+        # a misspelt name would load with its default: "epsilonn" would
+        # pose the Dirichlet problem in place of the auxiliary equation
+        with pytest.raises(cfgio.ConfigError, match=named):
+            cfgio.load_problem(write_config(tmp_path, f=f, extra=extra))
+
     def test_negative_polish_cap_named(self, tmp_path):
         extra = "\n[solver]\npolish_sweeps = -3\n"
         with pytest.raises(cfgio.ConfigError, match="solver.polish_sweeps"):
@@ -181,6 +193,18 @@ class TestFieldCsv:
         g = build_grid(0.0, 1.0, 0.0, 1.0, 5, 5)
         with pytest.raises(ValueError):
             cfgio.export_field(np.zeros((4, 4)), g, tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("bounds, nx, ny", [
+        ((0.0, 1.0, 0.0, 1.0), 5, 9), ((0.0, 2.0, 0.0, 1.0), 9, 5)],
+        ids=["transposed", "other-domain"])
+    def test_import_on_another_layout_named(self, tmp_path, bounds, nx, ny):
+        # a 9 x 5 export has the row count of both grids; its second row,
+        # at x = 0.125, is the first off their nodes
+        path = tmp_path / "field.csv"
+        cfgio.export_field(np.zeros((5, 9)),
+                           build_grid(0.0, 1.0, 0.0, 1.0, 9, 5), path)
+        with pytest.raises(ValueError, match=r"data row 2 .*\(0\.125, 0\.0\)"):
+            cfgio.import_field(path, build_grid(*bounds, nx, ny))
 
     def test_import_wrong_size(self, tmp_path):
         g = build_grid(0.0, 1.0, 0.0, 1.0, 5, 5)

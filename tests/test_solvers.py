@@ -278,7 +278,8 @@ class TestSolvePk:
             solve_pk(spec, 8.0)
         assert isinstance(exc.value, SolverError)
         assert exc.value.k == 8.0
-        assert len(exc.value.history) >= 1
+        assert exc.value.run.iterations >= 1
+        assert exc.value.run.stop == exc.value.reason == "step cap"
 
     def test_factorization_failure_named(self, monkeypatch):
         g = unit_grid(9)
@@ -296,7 +297,8 @@ class TestSolvePk:
             solve_pk(spec, 8.0, init=warm)
         assert isinstance(exc.value, SolverError)
         assert exc.value.k == 8.0
-        assert exc.value.history == []
+        assert exc.value.run.history == []
+        assert exc.value.run.factorizations == 0
         assert "exactly singular" in str(exc.value)
 
     def test_ascent_direction_named(self, monkeypatch):
@@ -325,7 +327,8 @@ class TestSolvePk:
         assert exc.value.k == spec.config.k_schedule[0]
         assert exc.value.reason == "no descent direction"
         assert "no descent direction" in str(exc.value)
-        assert exc.value.history == []
+        assert exc.value.run.history == []
+        assert exc.value.run.factorizations == 1
         assert np.array_equal(exc.value.u, warm)
 
 
@@ -406,7 +409,8 @@ class TestDirichletInfinity:
         u_cont, report_cont = continue_k(spec)
         assert np.array_equal(u, u_cont)
         assert report.per_k == report_cont.per_k
-        assert report.polish_initial is None and report.polish_steps == 0
+        assert report.polish is None and report.polish_initial is None
+        assert report.polish_accepted is None
         assert "polish" not in report.format()
 
     def test_unit_plane_any_p(self):
@@ -459,21 +463,46 @@ class TestPolish:
         u_cont, _ = continue_k(spec)
         assert np.array_equal(u, u_cont)
         assert report.polish_accepted is False
-        assert report.polish_stop in ("step cap", "line search failed")
-        assert 0 < report.polish_steps <= spec.config.polish_sweeps
+        assert report.polish.stop in ("step cap", "line search failed")
+        assert 0 < report.polish.iterations <= spec.config.polish_sweeps
         assert report.polish_final >= solvers._POLISH_TOL
         i, j = report.polish_worst
         assert 0 < i < g.nx - 1 and 0 < j < g.ny - 1
         assert f"worst node (i={i}, j={j})" in report.format()
         assert "rejected" in report.format()
 
+    def test_stalled_polish_reports_the_stall_run(self, monkeypatch):
+        # the saddle's polish stops at the step cap: its stop reason and
+        # counts are those NewtonStall carries
+        stalls, real = [], solvers._newton
+
+        def recording(model, u, max_steps):
+            try:
+                return real(model, u, max_steps)
+            except NewtonStall as exc:
+                stalls.append(exc)
+                raise
+
+        monkeypatch.setattr(solvers, "_newton", recording)
+        spec = _saddle()
+        _, report = solve_dirichlet_infinity(spec)
+        (stall,) = stalls
+        assert stall.k is None and stall.reason == "step cap"
+        assert report.polish is stall.run
+        assert report.polish.stop == "step cap"
+        assert report.polish.iterations == spec.config.polish_sweeps
+        assert report.polish.factorizations > 0
+        line = report.format().splitlines()[-2]
+        assert f"{stall.run.format_counts()} " in line
+        assert line.endswith(": step cap (rejected)")
+
     def test_converged_polish_reported(self):
         spec = _varframe()
         u, report = solve_dirichlet_infinity(spec)
         res = solvers.infinity_x_residual_field(u, spec.frame, spec.p)
         assert report.polish_accepted is True
-        assert report.polish_stop == "converged"
-        assert 0 < report.polish_steps <= spec.config.polish_sweeps
+        assert report.polish.stop == "converged"
+        assert 0 < report.polish.iterations <= spec.config.polish_sweeps
         assert float(np.max(np.abs(res))) == report.polish_final
         assert report.polish_final < solvers._POLISH_TOL
         assert "accepted" in report.format()
@@ -492,11 +521,23 @@ class TestPolish:
         spec = _varframe()
         _, report = solve_dirichlet_infinity(spec)
         assert report.polish_accepted is True
-        assert calls.count("MMD_AT_PLUS_A") == report.polish_factorizations
-        assert 0 < report.polish_factorizations < report.polish_steps
-        assert (f"after {report.polish_steps} Newton steps "
-                f"({report.polish_factorizations} factorizations)"
-                in report.format())
+        run = report.polish
+        assert calls.count("MMD_AT_PLUS_A") == run.factorizations
+        assert 0 < run.factorizations < run.iterations
+        assert (f"iterations={run.iterations:<4d} "
+                f"factorizations={run.factorizations:<4d} "
+                in report.format().splitlines()[-2])
+
+    def test_every_factorization_is_in_the_record(self, monkeypatch):
+        # the harmonic start factors once; every other splu call is a
+        # factorization some Newton run reports
+        calls, real = [], solvers.splu
+        monkeypatch.setattr(solvers, "splu",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        _, report = solve_dirichlet_infinity(_varframe(17))
+        assert report.polish_accepted is True
+        factored = sum(s.factorizations for s in report.per_k)
+        assert len(calls) == 1 + factored + report.polish.factorizations
 
     def test_gmres_saves_jacobian_factorizations(self, monkeypatch):
         # at 65^2 the polish's chord steps fail where it factored its
@@ -515,15 +556,15 @@ class TestPolish:
         refactor = SolveReport()
         v = _polish_newton(u0, spec.frame, spec.p, 20, refactor)
         assert krylov.polish_accepted and refactor.polish_accepted
-        assert refactor.polish_factorizations == 3
-        assert krylov.polish_factorizations == 1
+        assert refactor.polish.factorizations == 3
+        assert krylov.polish.factorizations == 1
         assert np.max(np.abs(u - v)) <= 1e-12
-        work = krylov.polish_work
-        assert work["krylov_solves"] > 0
-        assert (f"({krylov.polish_factorizations} factorizations), "
-                f"{work['chord_steps']} chord steps, "
-                f"{work['krylov_solves']} Krylov solves "
-                f"({work['krylov_iterations']} iterations)"
+        run = krylov.polish
+        assert run.krylov_solves > 0
+        assert (f"factorizations={run.factorizations:<4d} "
+                f"chord_steps={run.chord_steps:<4d} "
+                f"krylov_solves={run.krylov_solves:<4d} "
+                f"krylov_iterations={run.krylov_iterations:<4d} "
                 in krylov.format())
 
     def test_start_independent(self):
@@ -549,8 +590,8 @@ class TestPolish:
         u = _polish_newton(u0, spec.frame, spec.p, 20, report)
         assert u is u0 and report.polish_accepted is False
         assert report.polish_final == report.polish_initial
-        assert report.polish_steps == 0
-        assert report.polish_stop.startswith("factorization failed")
+        assert report.polish.history == []
+        assert report.polish.stop.startswith("factorization failed")
 
     def test_second_order_on_aronsson(self):
         # the discrete zero converges at h^2, below the continuation's
