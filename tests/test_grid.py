@@ -1,16 +1,23 @@
 """Grid, frame, differential operator, and distance tests."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
+from infxlap.config import load_problem
 from infxlap.expressions import parse
 from infxlap.grid import (FrameSingular, GridError, build_grid,
                           euclidean_gradient, grad_ln_p, identity_frame,
                           make_frame, riemannian_distance,
                           riemannian_gradient, sample_frame,
                           symmetrized_hessian)
+from infxlap.verify import lipschitz_constant
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def unit_grid(n=9):
@@ -162,6 +169,33 @@ class TestHessian:
         assert h.shape == g.shape + (3,)  # packed (M11, M12, M22)
 
 
+def _one_way_graph(frame):
+    """Reference graph: each forward 8-neighbor edge once, built from COO
+    triples with the same weights, for an undirected search."""
+    from scipy.sparse import csr_matrix
+
+    g = frame.grid
+    ny, nx = g.shape
+    flat = np.arange(g.n_nodes).reshape(ny, nx)
+    rows, cols, weights = [], [], []
+    for dj, di in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        js, jd = slice(0, ny - dj), slice(dj, ny)
+        is_ = slice(max(0, -di), nx - max(0, di))
+        id_ = slice(max(0, di), nx - max(0, -di))
+        mid = 0.5 * (frame.a[js, is_] + frame.a[jd, id_])
+        det = (mid[..., 0, 0] * mid[..., 1, 1]
+               - mid[..., 0, 1] * mid[..., 1, 0])
+        dx, dy = di * g.hx, dj * g.hy
+        v0 = (mid[..., 1, 1] * dx - mid[..., 1, 0] * dy) / det
+        v1 = (-mid[..., 0, 1] * dx + mid[..., 0, 0] * dy) / det
+        rows.append(flat[js, is_].ravel())
+        cols.append(flat[jd, id_].ravel())
+        weights.append(np.sqrt(v0 * v0 + v1 * v1).ravel())
+    return csr_matrix((np.concatenate(weights),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(g.n_nodes, g.n_nodes))
+
+
 class TestDistance:
     def test_axis_and_diagonal_exact(self):
         g = unit_grid(5)
@@ -247,6 +281,77 @@ class TestDistance:
             assert (i, j) != (0, 0)
             assert i in (8, 9)
             assert exc.value.det == 0.0
+
+    def test_vertical_singular_edge_named(self):
+        # a22 alternates in sign from y = 1/2 on, scaled by 1 + x, so only
+        # the vertical edges there have a singular midpoint: horizontal
+        # neighbors share a22 and diagonal ones differ in |a22|
+        g = unit_grid(17)
+        fr = sample_frame(parse("1"), parse("0"), parse("0"),
+                          parse("cos(16*pi*max(y, 0.5)) * (1 + x)"), g)
+        a22 = fr.a[..., 1, 1]
+        assert np.all(a22[8:-1] + a22[9:] == 0.0)
+        assert np.all(a22[:, :-1] + a22[:, 1:] != 0.0)
+        assert np.all(a22[8:-1, :-1] + a22[9:, 1:] != 0.0)
+        assert np.all(a22[8:-1, 1:] + a22[9:, :-1] != 0.0)
+        for _ in range(2):
+            with pytest.raises(FrameSingular) as exc:
+                riemannian_distance(fr, g, (3, 3))
+            # the first singular forward edge in row-major order runs
+            # from (i=0, j=8) up to (0, 9)
+            assert exc.value.node == (0, 8)
+            assert exc.value.det == 0.0
+
+    @pytest.mark.parametrize("nx, ny", [(21, 17), (33, 33), (129, 97)])
+    def test_bit_identical_to_one_way_graph(self, nx, ny):
+        g = build_grid(0.0, 1.2, 0.0, 0.8, nx, ny)
+        rng = np.random.default_rng(nx * ny)
+        fr = make_frame(g, 0.5 * rng.normal(size=(ny, nx, 2, 2))
+                        + 1.5 * np.eye(2))
+        corners = [(0, 0), (nx - 1, 0), (0, ny - 1), (nx - 1, ny - 1)]
+        sources = np.vstack([corners, np.column_stack(
+            [rng.integers(0, nx, 16), rng.integers(0, ny, 16)])])
+        ref = dijkstra(_one_way_graph(fr), directed=False,
+                       indices=sources[:, 1] * nx + sources[:, 0])
+        multi = riemannian_distance(fr, g, sources)
+        assert np.array_equal(multi, ref.reshape(multi.shape))
+        assert np.array_equal(riemannian_distance(fr, g, sources[-1]),
+                              multi[-1])
+
+    @pytest.mark.parametrize("nx, ny", [(21, 17), (33, 33), (129, 97)])
+    def test_graph_stored_both_ways_on_the_8_neighborhood(self, nx, ny):
+        g = build_grid(0.0, 1.2, 0.0, 0.8, nx, ny)
+        rng = np.random.default_rng(nx + ny)
+        fr = make_frame(g, 0.5 * rng.normal(size=(ny, nx, 2, 2))
+                        + 1.5 * np.eye(2))
+        graph = fr.distance_graph
+        assert graph.shape == (g.n_nodes, g.n_nodes)
+        assert (graph != graph.T).nnz == 0
+        rows = np.repeat(np.arange(g.n_nodes), np.diff(graph.indptr))
+        cols = graph.indices
+        assert np.all(np.abs(rows // nx - cols // nx) <= 1)
+        assert np.all(np.abs(rows % nx - cols % nx) <= 1)
+        # every edge once each way; the other slots hold zero self-loops
+        edges = 4 * nx * ny - 3 * nx - 3 * ny + 2
+        assert np.count_nonzero(graph.data) == 2 * edges
+        assert np.all(rows[graph.data == 0.0] == cols[graph.data == 0.0])
+
+    @pytest.mark.parametrize("name", ["aronsson", "jensen_min",
+                                      "variable_frame"])
+    def test_shipped_configs_bit_identical(self, name):
+        spec = load_problem(CONFIGS / f"{name}.ini")
+        ny, nx = spec.grid.shape
+        sources = np.array([(0, 0), (nx - 1, 0), (nx // 2, ny // 3),
+                            (0, ny - 1), (nx - 1, ny - 1)])
+        ref = dijkstra(_one_way_graph(spec.frame), directed=False,
+                       indices=sources[:, 1] * nx + sources[:, 0])
+        d = riemannian_distance(spec.frame, spec.grid, sources)
+        assert np.array_equal(d, ref.reshape(d.shape))
+
+    def test_lipschitz_constant_of_shipped_varframe(self):
+        spec = load_problem(CONFIGS / "variable_frame.ini")
+        assert lipschitz_constant(spec.f, spec.grid, spec.frame) \
+            == 0.7500000000000003
 
     @pytest.mark.parametrize("nx, ny", [(13, 7), (7, 13)])
     def test_matches_bellman_ford(self, nx, ny):

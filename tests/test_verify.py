@@ -2,6 +2,7 @@
 
 import heapq
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from infxlap import verify
 from infxlap.expressions import parse
 from infxlap.grid import (build_grid, identity_frame, make_frame,
                           riemannian_distance, sample_frame)
-from infxlap.solvers import ProblemSpec
+from infxlap.solvers import ProblemSpec, solve_dirichlet_infinity
 from infxlap.verify import (CheckReport, check_comparison,
                             check_log_gradient_bound, eikonal_check,
                             harnack_constant, lipschitz_constant,
@@ -175,6 +176,31 @@ class TestComparison:
         assert check_comparison(u, v, g, tol=0.0).passed
         swapped = check_comparison(v, u, g, tol=0.0)
         assert not swapped.passed or not swapped.applicable
+
+    def test_ordered_data_probe_can_fail(self):
+        # data ordered but not a shift: f and f + 0.1 max(0, x - 1/2) on the
+        # varframe problem.  The solve commutes with adding a constant, so
+        # only a probe like this one can fail; it does at tol = 1e-6, by a
+        # discretization error that shrinks under refinement
+        worst = []
+        for n in (17, 33):
+            g = unit_grid(n)
+            X, Y = g.meshgrid()
+            f = 1.0 + X / 4.0 + Y / 2.0
+            spec = ProblemSpec(
+                grid=g, frame=sample_frame(parse("1"), parse("0"), parse("0"),
+                                           parse("1 + x/2"), g),
+                p=2.0 + X ** 2 / 4.0, f=f)
+            u, ru = solve_dirichlet_infinity(spec)
+            v, rv = solve_dirichlet_infinity(
+                replace(spec, f=f + 0.1 * np.maximum(0.0, X - 0.5)))
+            assert ru.polish_accepted and rv.polish_accepted
+            rep = check_comparison(u, v, g, tol=1e-6)
+            assert rep.applicable and not rep.passed
+            assert rep.worst_value == pytest.approx(-float(np.min(v - u)))
+            worst.append(rep.worst_value)
+        # measured: 1.06e-4 at (4, 13) and 6.76e-5 at (6, 24)
+        assert 1e-5 < worst[1] < worst[0] < 1e-3
 
 
 class TestHarnack:
