@@ -61,7 +61,11 @@ def cmd_solve(args) -> int:
 
 def cmd_residual(args) -> int:
     spec = _load(args.config)
-    u = cfgio.import_field(args.infile, spec.grid)
+    try:
+        u = cfgio.import_field(args.infile, spec.grid)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     res = operators.infinity_x_residual_field(u, spec.frame, spec.p)
     cfgio.export_field(res, spec.grid, args.out)
     if args.min_form_out:

@@ -110,9 +110,9 @@ def build_grid(xmin, xmax, ymin, ymax, nx, ny) -> Grid2D:
     return Grid2D(float(xmin), float(xmax), float(ymin), float(ymax), int(nx), int(ny))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameField:
-    """Per-node frame matrix A."""
+    """Per-node frame matrix A; frames compare and hash by identity."""
 
     grid: Grid2D
     a: np.ndarray          # (ny, nx, 2, 2), read-only

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import FrameField, Grid2D, _d_axis, grad_ln_p
+from .grid import FrameField, _d_axis, grad_ln_p
 
 #: log regularization floor for field residuals (never applied to jets)
 DELTA_LOG = 1e-12
@@ -114,7 +114,6 @@ class ResidualKernel:
                    for i in (0, 1) for k in (0, 1)]
         self._a_in = [np.ascontiguousarray(c[1:-1, 1:-1]) for c in self._a]
         self._lnp = [np.ascontiguousarray(glnp[1:-1, 1:-1, c]) for c in (0, 1)]
-        self._blocks = None
 
     def _parts(self, u: np.ndarray):
         """Interior D_X u, symmetrized Hessian, ||D_X u||^2, <D_X u, D_X ln p>
@@ -157,21 +156,10 @@ class ResidualKernel:
         D_X u = (G1 u, G2 u) and the Hessian is H11 = G1 G1,
         H12 = (G1 G2 + G2 G1)/2, H22 = G2 G2 applied to u, so dr/du is
         -(sum_ab g_a g_b H_ab + sum_a c_a G_a), c_a the derivative of the
-        bracket of r in g_a at fixed H.  The five blocks are built once per
-        kernel as (nnz, 5) data on one CSC pattern (:class:`_LatticeProducts`).
+        bracket of r in g_a at fixed H.  The five blocks depend only on the
+        frame and are built once per frame (:func:`_jacobian_blocks`).
         """
-        if self._blocks is None:
-            lp, a = _lattice_products(self.frame.grid), self.frame.a
-            g1, g2 = (a[..., i, :].ravel()[lp.coef] * lp.val for i in (0, 1))
-            x1, x2, y1, y2 = g1[lp.e1], g2[lp.e1], g1[lp.e2], g2[lp.e2]
-            m = np.stack([np.bincount(slot, w, len(lp.rows)) for slot, w in (
-                (lp.pslot, x1 * y1), (lp.pslot, 0.5 * (x1 * y2 + x2 * y1)),
-                (lp.pslot, x2 * y2), (lp.gslot, g1[lp.gent]),
-                (lp.gslot, g2[lp.gent]))], axis=1)
-            keep = np.any(m != 0.0, axis=1)
-            self._blocks = m[keep], lp.rows[keep], np.searchsorted(
-                lp.cols[keep], np.arange(lp.n + 1)).astype(np.intc)
-        m, rows, indptr = self._blocks
+        m, rows, indptr = _jacobian_blocks(self.frame)
         g1, g2, h11, h12, h22, n2, dot, log_n = self._parts(u)
         # d(||g||^2 dot ln||g||)/d g_a = (2 dot ln||g|| + dot) g_a
         # + ||g||^2 lnp_a ln||g||, the middle term absent below the floor
@@ -184,45 +172,32 @@ class ResidualKernel:
         return sp.csc_matrix((data, rows, indptr), shape=(g1.size,) * 2)
 
 
-class _LatticeProducts:
-    """Entries of Dx and Dy on the lattice (G_i = diag(a_i1) Dx + diag(a_i2)
-    Dy has values ``a[..., i, :].ravel()[coef] * val``), the pairs (e1, e2)
-    with col(e1) = row(e2) that sum to G_a G_b on interior nodes, and their
-    and G_i's (``gent``) slots in one CSC pattern of interior nodes."""
-
-    def __init__(self, grid: Grid2D):
-        ny, nx = grid.shape
-        d = [sp.kron(sp.eye(ny), _d_axis(np.eye(nx), grid.hx, 0), "coo"),
-             sp.kron(_d_axis(np.eye(ny), grid.hy, 0), sp.eye(nx), "coo")]
-        row, col, self.val = (np.concatenate([getattr(m, k) for m in d])
-                              for k in ("row", "col", "data"))
-        # per-grid index arrays as C ints: they stay cached after the polish
-        self.coef = (2 * row + np.repeat([0, 1], [m.nnz for m in d])
-                     ).astype(np.intc)
-        self.n, shape = (ny - 2) * (nx - 2), (len(row), ny * nx)
-        number = np.full(ny * nx, -1)
-        number[grid.interior_mask().ravel()] = np.arange(self.n)
-        r, c = number[row], number[col]
-        e1, e2 = np.flatnonzero(r >= 0), np.flatnonzero(c >= 0)
-        # the pairs are the pattern of [col(e1) = m] [row(e2) = m]
-        pairs = (sp.csr_matrix((np.ones(len(e1)), (e1, col[e1])), shape)
-                 @ sp.csr_matrix((np.ones(len(e2)), (row[e2], e2)),
-                                 shape[::-1])).tocoo()
-        self.e1, self.e2 = pairs.row, pairs.col
-        self.gent = np.flatnonzero((r >= 0) & (c >= 0)).astype(np.intc)
-        keys, slot = np.unique(np.concatenate(
-            [c[self.e2] * self.n + r[self.e1],
-             c[self.gent] * self.n + r[self.gent]]), return_inverse=True)
-        slot = slot.astype(np.intc)
-        self.pslot, self.gslot = slot[:len(self.e1)], slot[len(self.e1):]
-        self.rows, self.cols = ((keys % self.n).astype(np.intc),
-                                (keys // self.n).astype(np.intc))
-
-
 @functools.lru_cache(maxsize=1)
-def _lattice_products(grid: Grid2D) -> _LatticeProducts:
-    """The grid's products, built once while the same grid is polished."""
-    return _LatticeProducts(grid)
+def _jacobian_blocks(frame: FrameField):
+    """G1 G1, (G1 G2 + G2 G1)/2, G2 G2, G1 and G2 on interior rows and
+    columns, as (nnz, 5) data on the CSC pattern of their union, with its
+    rows and indptr.  Built once while the same frame is polished, so the
+    solves of every exponent on one frame share it."""
+    grid = frame.grid
+    ny, nx = grid.shape
+    dx = sp.kron(sp.eye(ny), _d_axis(np.eye(nx), grid.hx, 0), "csr")
+    dy = sp.kron(_d_axis(np.eye(ny), grid.hy, 0), sp.eye(nx), "csr")
+    g1, g2 = (sp.diags(frame.a[..., i, 0].ravel()) @ dx
+              + sp.diags(frame.a[..., i, 1].ravel()) @ dy for i in (0, 1))
+    inner = np.flatnonzero(grid.interior_mask())
+    blocks = [m[inner][:, inner] for m in
+              (g1 @ g1, 0.5 * (g1 @ g2 + g2 @ g1), g2 @ g2, g1, g2)]
+    # a sum of absolute values cancels no entry; tocsc sorts the rows
+    union = sum(abs(b) for b in blocks).tocsc()
+    union.eliminate_zeros()
+    rows = union.indices
+    cols = np.repeat(np.arange(inner.size), np.diff(union.indptr))
+    data = np.empty((rows.size, 5))
+    for k, b in enumerate(blocks):
+        data[:, k] = b[rows, cols]
+    for x in (data, rows, union.indptr):    # shared by every kernel
+        x.flags.writeable = False
+    return data, rows, union.indptr
 
 
 def infinity_x_residual_field(u: np.ndarray, frame: FrameField,

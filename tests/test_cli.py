@@ -313,6 +313,26 @@ class TestCliResidualDistance:
         assert "source node (999, 0)" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
 
+    @pytest.mark.parametrize("case", ["missing", "rows", "grid"])
+    def test_residual_bad_input_exit_2(self, tmp_path, capsys, case):
+        # a missing file, a CSV with the wrong row count and a field
+        # written on another grid are input errors, not solver failures
+        cfg = write_config(tmp_path)
+        ucsv = tmp_path / "u.csv"
+        if case == "rows":
+            ucsv.write_text("x,y,value\n0,0,1\n")
+        elif case == "grid":
+            g = build_grid(0.0, 2.0, 0.0, 1.0, 9, 9)
+            cfgio.export_field(np.zeros(g.shape), g, ucsv)
+        rc = main(["residual", "--config", cfg, "--in", str(ucsv),
+                   "--out", str(tmp_path / "res.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert {"missing": "not found", "rows": "expected 81 data rows",
+                "grid": "not at the grid node"}[case] in err
+        assert not (tmp_path / "res.csv").exists()
+
     def test_max_form_residual_at_unit_eps(self, tmp_path):
         # at eps = 0 the max form is evaluated with eps = 1
         cfg = write_config(tmp_path)

@@ -149,10 +149,10 @@ class TestResidualField:
         assert np.all(res[:, 0] == 0) and np.all(res[:, -1] == 0)
 
 
-def _variable_problem():
-    """Non-square grid with hx != hy, a full variable frame and exponent,
-    and a smooth field with no flat spots."""
-    g = build_grid(0.0, 1.0, 0.0, 1.5, 13, 11)
+def _variable_problem(nx=13, ny=11):
+    """Grid with hx != hy, a full variable frame and exponent, and a
+    smooth field with no flat spots."""
+    g = build_grid(0.0, 1.0, 0.0, 1.5, nx, ny)
     fr = sample_frame(parse("1 + x/3"), parse("x*y/4"), parse("sin(y)/5"),
                       parse("1 + x/2"), g)
     X, Y = g.meshgrid()
@@ -194,13 +194,17 @@ class TestResidualKernel:
         jv = (jac @ v[1:-1, 1:-1].ravel()).reshape(fd.shape)
         assert np.max(np.abs(jv - fd)) <= 1e-9 * np.max(np.abs(fd))
 
-    @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diag"])
-    def test_jacobian_matches_sparse_product_reference(self, diagonal):
+    @pytest.mark.parametrize("diagonal, n", [(False, None), (True, None),
+                                             (False, 219)],
+                             ids=["full", "diag", "full-219"])
+    def test_jacobian_matches_sparse_product_reference(self, diagonal, n):
         # the blocks G_a G_b from scipy products of the whole-lattice
         # operators, weighted by diagonal matrices: the fixed pattern must
         # give the same matrix with the same entries, no more (a diagonal
-        # frame has a sparser pattern than a full one)
-        g, fr, p, u = _variable_problem()
+        # frame has a sparser pattern than a full one).  At 219^2 there
+        # are 47,089 interior nodes, so a flat index col * n + row of the
+        # pattern passes 2**31
+        g, fr, p, u = _variable_problem(*(n, n) if n else ())
         if diagonal:
             fr = sample_frame(parse("1"), parse("0"), parse("0"),
                               parse("1 + x/2"), g)
@@ -225,22 +229,17 @@ class TestResidualKernel:
         assert jac.nnz == ref.nnz
         assert (abs(jac - ref).max() <= 1e-13 * abs(ref).max())
 
-    def test_lattice_products_built_once_per_grid(self, monkeypatch):
-        builds = []
-
-        class Counting(operators._LatticeProducts):
-            def __init__(self, grid):
-                builds.append(grid)
-                super().__init__(grid)
-
-        monkeypatch.setattr(operators, "_LatticeProducts", Counting)
-        operators._lattice_products.cache_clear()
+    def test_jacobian_blocks_built_once_per_frame(self):
+        # p enters only through the per-step weights, so kernels of any
+        # exponent on one frame share the blocks; a new frame builds anew
         g, fr, p, u = _variable_problem()
-        for kernel in (ResidualKernel(fr, p), ResidualKernel(fr.scaled(2.0),
-                                                             p + 1.0)):
+        operators._jacobian_blocks.cache_clear()
+        for kernel in (ResidualKernel(fr, p), ResidualKernel(fr, p + 1.0)):
             kernel.jacobian(u)
             kernel.jacobian(u + 0.1)
-        assert builds == [g]
+        assert operators._jacobian_blocks.cache_info().misses == 1
+        ResidualKernel(fr.scaled(2.0), p).jacobian(u)
+        assert operators._jacobian_blocks.cache_info().misses == 2
 
     def test_exponent_at_most_one_rejected(self):
         g, fr, p, u = _variable_problem()
