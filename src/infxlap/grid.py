@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .expressions import Expr, evaluate
 
@@ -132,6 +133,24 @@ class FrameField:
         of the frame (``a`` is read-only).  A failed build caches nothing."""
         return _distance_graph(self)
 
+    @cached_property
+    def jet_operator(self):
+        """G = [G1; G2], G_i = diag(a_i1) Dx + diag(a_i2) Dy with the stencils
+        of :func:`_d_axis`, as one CSR matrix: G u stacks the components of
+        D_X u.  Built on first use and kept for the life of the frame."""
+        ny, nx = self.grid.shape
+        dx = sp.kron(sp.eye(ny), _d_axis(np.eye(nx), self.grid.hx, 0), "csr")
+        dy = sp.kron(_d_axis(np.eye(ny), self.grid.hy, 0), sp.eye(nx), "csr")
+        return sp.vstack([sp.diags(self.a[..., i, 0].ravel()) @ dx
+                          + sp.diags(self.a[..., i, 1].ravel()) @ dy
+                          for i in (0, 1)], format="csr")
+
+    @cached_property
+    def jacobian_blocks(self):
+        """:func:`infxlap.operators._jacobian_blocks`, kept with the frame."""
+        from .operators import _jacobian_blocks
+        return _jacobian_blocks(self)
+
 
 def make_frame(grid: Grid2D, a: np.ndarray) -> FrameField:
     """Wrap a read-only copy of per-node matrices, checking invertibility."""
@@ -228,8 +247,6 @@ def _distance_graph(frame: FrameField):
     :func:`riemannian_distance` describes, stored both ways in 8 slots per
     node (slot s: the s-th offset in flat-index order; slot 7-s: its
     reverse; off-grid: a zero-weight self-loop), filled slot-major."""
-    from scipy.sparse import csr_matrix
-
     grid = frame.grid
     ny, nx = grid.shape
     n = grid.n_nodes
@@ -258,8 +275,8 @@ def _distance_graph(frame: FrameField):
         w = np.sqrt(v0 * v0 + v1 * v1)
         weights[s, js, is_] = weights[7 - s, jd, id_] = w
     indptr = np.arange(0, 8 * n + 1, 8, dtype=np.int32)
-    return csr_matrix((weights.reshape(8, n).T.ravel(),
-                       cols.reshape(8, n).T.ravel(), indptr), shape=(n, n))
+    return sp.csr_matrix((weights.reshape(8, n).T.ravel(),
+                          cols.reshape(8, n).T.ravel(), indptr), (n, n))
 
 
 def riemannian_distance(frame: FrameField, grid: Grid2D,
@@ -308,11 +325,13 @@ def riemannian_distance(frame: FrameField, grid: Grid2D,
 
 
 def grad_ln_p(p: np.ndarray, frame: FrameField) -> np.ndarray:
-    """Frame gradient of ln p(x); rejects exponents at or below 1."""
+    """Frame gradient G ln p(x) (``frame.jet_operator``), shape (ny, nx, 2);
+    rejects exponents at or below 1."""
     p = np.asarray(p, dtype=float)
     if np.any(p <= 1.0):
         j, i = np.argwhere(p <= 1.0)[0]
         raise ValueError(
             f"exponent p = {p[j, i]:g} <= 1 at node (i={i}, j={j})"
         )
-    return riemannian_gradient(np.log(p), frame)
+    g = frame.jet_operator @ np.log(p).ravel()
+    return np.moveaxis(g.reshape(2, *frame.grid.shape), 0, -1)

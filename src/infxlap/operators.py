@@ -11,14 +11,13 @@ positive power of the gradient norm is taken at its limit value 0.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import FrameField, _d_axis, grad_ln_p
+from .grid import FrameField, grad_ln_p
 
 #: log regularization floor for field residuals (never applied to jets)
 DELTA_LOG = 1e-12
@@ -99,39 +98,26 @@ def pk_residual_at(j: PointJet, e: ExponentData) -> float:
 class ResidualKernel:
     """-Delta_{X,infinity(x)} u on interior nodes for one (frame, p).
 
-    The frame entries and D_X ln p are cached as contiguous arrays, and
-    the 2x2 products are written out, so an evaluation is a few dozen
-    small array operations.  The Hessian is the symmetrized nested
-    stencil of :func:`infxlap.grid.symmetrized_hessian`; the logarithm
-    is regularized as ln(max(||D_X u||, DELTA_LOG)).
+    D_X u = G u with G = ``frame.jet_operator``, and the Hessian X_a(g_b) is
+    G applied to g_b, read at the interior nodes and symmetrized: the nested
+    stencil of :func:`infxlap.grid.symmetrized_hessian` up to rounding.  The
+    logarithm is regularized as ln(max(||D_X u||, DELTA_LOG)).
     """
 
     def __init__(self, frame: FrameField, p: np.ndarray):
-        glnp = grad_ln_p(p, frame)
-        a = frame.a
-        self.frame = frame
-        self._a = [np.ascontiguousarray(a[..., i, k])
-                   for i in (0, 1) for k in (0, 1)]
-        self._a_in = [np.ascontiguousarray(c[1:-1, 1:-1]) for c in self._a]
-        self._lnp = [np.ascontiguousarray(glnp[1:-1, 1:-1, c]) for c in (0, 1)]
+        self.frame, self._g = frame, frame.jet_operator
+        self._lnp = np.moveaxis(grad_ln_p(p, frame)[1:-1, 1:-1], -1, 0)
 
     def _parts(self, u: np.ndarray):
         """Interior D_X u, symmetrized Hessian, ||D_X u||^2, <D_X u, D_X ln p>
         and the floored ln ||D_X u||."""
-        grid = self.frame.grid
-        a11, a12, a21, a22 = self._a
-        ux = _d_axis(u, grid.hx, axis=1)
-        uy = _d_axis(u, grid.hy, axis=0)
-        g = (a11 * ux + a12 * uy, a21 * ux + a22 * uy)
-        # X_i(g_j) = b_i1 dx g_j + b_i2 dy g_j; interior nodes read only
-        # the central stencil of g
-        gx = [_d_axis(c, grid.hx, axis=1)[1:-1, 1:-1] for c in g]
-        gy = [_d_axis(c, grid.hy, axis=0)[1:-1, 1:-1] for c in g]
-        b11, b12, b21, b22 = self._a_in
-        g1, g2 = g[0][1:-1, 1:-1], g[1][1:-1, 1:-1]
-        h11 = b11 * gx[0] + b12 * gy[0]
-        h12 = 0.5 * ((b11 * gx[1] + b12 * gy[1]) + (b21 * gx[0] + b22 * gy[0]))
-        h22 = b21 * gx[1] + b22 * gy[1]
+        shape = (2,) + self.frame.grid.shape
+        g = (self._g @ u.ravel()).reshape(shape)
+        # (X_1 g_b, X_2 g_b) at the interior nodes, for b = 1, 2
+        (h11, h21), (h12, h22) = (
+            (self._g @ c.ravel()).reshape(shape)[:, 1:-1, 1:-1] for c in g)
+        g1, g2 = g[:, 1:-1, 1:-1]
+        h12 = 0.5 * (h12 + h21)
         n2 = g1 * g1 + g2 * g2
         dot = g1 * self._lnp[0] + g2 * self._lnp[1]
         log_n = np.log(np.maximum(np.sqrt(n2), DELTA_LOG))
@@ -145,21 +131,18 @@ class ResidualKernel:
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         """The residual field, boundary entries 0."""
-        out = np.zeros(self.frame.grid.shape)
-        out[1:-1, 1:-1] = self.jets(u)[0]
-        return out
+        return np.pad(self.jets(u)[0], 1)
 
     def jacobian(self, u: np.ndarray) -> sp.csc_matrix:
         """d r / d u on interior rows and columns (row-major node order).
 
-        With G_i = diag(a_i1) Dx + diag(a_i2) Dy on the whole lattice,
         D_X u = (G1 u, G2 u) and the Hessian is H11 = G1 G1,
         H12 = (G1 G2 + G2 G1)/2, H22 = G2 G2 applied to u, so dr/du is
         -(sum_ab g_a g_b H_ab + sum_a c_a G_a), c_a the derivative of the
         bracket of r in g_a at fixed H.  The five blocks depend only on the
-        frame and are built once per frame (:func:`_jacobian_blocks`).
+        frame and live as long as it does (``FrameField.jacobian_blocks``).
         """
-        m, rows, indptr = _jacobian_blocks(self.frame)
+        m, rows, indptr = self.frame.jacobian_blocks
         g1, g2, h11, h12, h22, n2, dot, log_n = self._parts(u)
         # d(||g||^2 dot ln||g||)/d g_a = (2 dot ln||g|| + dot) g_a
         # + ||g||^2 lnp_a ln||g||, the middle term absent below the floor
@@ -172,32 +155,28 @@ class ResidualKernel:
         return sp.csc_matrix((data, rows, indptr), shape=(g1.size,) * 2)
 
 
-@functools.lru_cache(maxsize=1)
 def _jacobian_blocks(frame: FrameField):
-    """G1 G1, (G1 G2 + G2 G1)/2, G2 G2, G1 and G2 on interior rows and
-    columns, as (nnz, 5) data on the CSC pattern of their union, with its
-    rows and indptr.  Built once while the same frame is polished, so the
-    solves of every exponent on one frame share it."""
-    grid = frame.grid
-    ny, nx = grid.shape
-    dx = sp.kron(sp.eye(ny), _d_axis(np.eye(nx), grid.hx, 0), "csr")
-    dy = sp.kron(_d_axis(np.eye(ny), grid.hy, 0), sp.eye(nx), "csr")
-    g1, g2 = (sp.diags(frame.a[..., i, 0].ravel()) @ dx
-              + sp.diags(frame.a[..., i, 1].ravel()) @ dy for i in (0, 1))
-    inner = np.flatnonzero(grid.interior_mask())
-    blocks = [m[inner][:, inner] for m in
+    """G1 G1, (G1 G2 + G2 G1)/2, G2 G2, G1 and G2 (``frame.jet_operator``)
+    on interior rows and columns, as (nnz, 5) data on the CSC pattern of
+    their union, with its rows and indptr."""
+    g, n = frame.jet_operator, frame.grid.n_nodes
+    g1, g2 = g[:n], g[n:]
+    inner = np.flatnonzero(frame.grid.interior_mask())
+    blocks = [m[inner][:, inner].tocsc() for m in
               (g1 @ g1, 0.5 * (g1 @ g2 + g2 @ g1), g2 @ g2, g1, g2)]
-    # a sum of absolute values cancels no entry; tocsc sorts the rows
+    # a sum of |b| cancels no entry and stores no zero; tocsc sorts rows
     union = sum(abs(b) for b in blocks).tocsc()
-    union.eliminate_zeros()
-    rows = union.indices
-    cols = np.repeat(np.arange(inner.size), np.diff(union.indptr))
-    data = np.empty((rows.size, 5))
+    # number the union's entries 1..nnz: the product with a block's
+    # pattern then reads each block entry's slot, in the block's order
+    union.data = np.arange(1, union.nnz + 1)
+    data = np.zeros((union.nnz, 5))
     for k, b in enumerate(blocks):
-        data[:, k] = b[rows, cols]
-    for x in (data, rows, union.indptr):    # shared by every kernel
+        b.eliminate_zeros()     # the union holds every nonzero entry
+        b.data, values = np.ones(b.nnz, np.int8), b.data
+        data[union.multiply(b).data - 1, k] = values
+    for x in (data, union.indices, union.indptr):    # shared by every kernel
         x.flags.writeable = False
-    return data, rows, union.indptr
+    return data, union.indices, union.indptr
 
 
 def infinity_x_residual_field(u: np.ndarray, frame: FrameField,
@@ -216,9 +195,7 @@ def min_form_residual(u: np.ndarray, frame: FrameField, p: np.ndarray,
     if eps <= 0:
         raise ValueError("min form needs eps > 0")
     r, g1, g2 = ResidualKernel(frame, p).jets(u)
-    out = np.zeros(frame.grid.shape)
-    out[1:-1, 1:-1] = np.minimum(g1 * g1 + g2 * g2 - eps, r)
-    return out
+    return np.pad(np.minimum(g1 * g1 + g2 * g2 - eps, r), 1)
 
 
 def max_form_residual(u: np.ndarray, frame: FrameField, p: np.ndarray,
@@ -227,7 +204,5 @@ def max_form_residual(u: np.ndarray, frame: FrameField, p: np.ndarray,
     if eps <= 0:
         raise ValueError("max form needs eps > 0 (the magnitude of the parameter)")
     r, g1, g2 = ResidualKernel(frame, p).jets(u)
-    out = np.zeros(frame.grid.shape)
-    out[1:-1, 1:-1] = np.maximum(eps - (g1 * g1 + g2 * g2), r)
-    return out
+    return np.pad(np.maximum(eps - (g1 * g1 + g2 * g2), r), 1)
 

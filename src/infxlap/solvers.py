@@ -190,10 +190,11 @@ def _frame_metric_pack(frame: FrameField) -> np.ndarray:
     return ata[..., [0, 0, 1], [0, 1, 1]]
 
 
-def _frame_tensor(frame: FrameField) -> np.ndarray:
-    """A^t A at the Gauss points, shape (ncell, 4gp, 3)."""
-    return _interp_gp(_frame_metric_pack(frame),
-                      _interior_pattern(frame.grid).gidx)
+def _frame_tensor(frame: FrameField) -> tuple[np.ndarray, ...]:
+    """A^t A at the Gauss points: contiguous T11, T12, T22, each (ncell, 4)."""
+    t = _interp_gp(_frame_metric_pack(frame),
+                   _interior_pattern(frame.grid).gidx)
+    return tuple(np.ascontiguousarray(t[..., c]) for c in range(3))
 
 
 def _nested_dissection(mj: int, mi: int) -> np.ndarray:
@@ -318,7 +319,7 @@ class _EnergyModel:
 
     converged = "update below tolerance"     # _newton's stop when solved
 
-    def __init__(self, spec: ProblemSpec, k: float, tq: np.ndarray):
+    def __init__(self, spec: ProblemSpec, k: float, tq: tuple):
         """``tq``: :func:`_frame_tensor` of ``spec.frame``, shared by the
         models of one continuation."""
         self.k, self.stage = k, f"kp(x)-energy Hessian at k={k:g}"
@@ -328,8 +329,9 @@ class _EnergyModel:
         self.bx, self.by, self.detj = pat.bx, pat.by, pat.detj
         self.tq = tq
         kp_nodal = k * np.asarray(spec.p, dtype=float)
-        self.kpq = _interp_gp(kp_nodal, self.gidx)
-        self.ln_kpq = np.log(self.kpq)
+        kpq = _interp_gp(kp_nodal, self.gidx)
+        self.half_kp, self.half_kpm2 = 0.5 * kpq, 0.5 * (kpq - 2.0)
+        self.ln_kpq = np.log(kpq)
         self.eps = spec.epsilon
         # log |eps|^{kp-1} (unused at eps = 0), interior cell areas signed
         self.log_load = (kp_nodal - 1.0) * math.log(abs(self.eps) or 1.0)
@@ -340,14 +342,13 @@ class _EnergyModel:
     def evaluate(self, u: np.ndarray) -> _GaussValues:
         uc = u.ravel()[self.gidx]                            # (ncell, 4)
         gx, gy = uc @ self.bx.T, uc @ self.by.T
-        t = self.tq
-        n2 = (_DELTA_REG ** 2 + t[..., 0] * gx * gx
-              + 2.0 * t[..., 1] * gx * gy + t[..., 2] * gy * gy)
+        t11, t12, t22 = self.tq
+        n2 = (_DELTA_REG ** 2 + t11 * gx * gx
+              + 2.0 * t12 * gx * gy + t22 * gy * gy)
         ln_n2 = np.log(n2)
-        logm = 0.5 * (self.kpq - 2.0) * ln_n2
+        logm = self.half_kpm2 * ln_n2
         return _GaussValues(u, n2, ln_n2, logm, float(np.max(logm)),
-                            t[..., 0] * gx + t[..., 1] * gy,
-                            t[..., 1] * gx + t[..., 2] * gy)
+                            t11 * gx + t12 * gy, t12 * gx + t22 * gy)
 
     def load(self, logs: float) -> np.ndarray | float:
         """Normalized lumped load over all nodes, 0.0 at eps = 0: |eps|^{kp-1}
@@ -365,16 +366,19 @@ class _EnergyModel:
     def energy(self, ev: _GaussValues, logs: float) -> float:
         """Scaled energy; +inf on overflow (rejected by the line search)."""
         with np.errstate(over="ignore"):
-            dens = np.exp(0.5 * self.kpq * ev.ln_n2 - self.ln_kpq - logs)
+            dens = np.exp(self.half_kp * ev.ln_n2 - self.ln_kpq - logs)
         return self.detj * float(np.sum(dens)) - (
             float(self.load(logs) @ ev.u.ravel()) if self.eps else 0.0)
 
-    def below(self, u: np.ndarray, v: np.ndarray) -> bool:
-        """Whether the energy of u is below that of v, both normalized at
-        the larger of their scales."""
-        a, b = self.evaluate(u), self.evaluate(v)
-        logs = max(a.log_scale, b.log_scale)
-        return self.energy(a, logs) < self.energy(b, logs)
+    def start(self, u: np.ndarray, predicted: np.ndarray | None):
+        """The evaluated start: the predicted field's if its energy is below
+        u's at the larger of their scales, else u's (``self.secant``)."""
+        ev, self.secant = self.evaluate(u), False
+        if predicted is not None:
+            pe = self.evaluate(predicted)
+            logs = max(ev.log_scale, pe.log_scale)
+            self.secant = self.energy(pe, logs) < self.energy(ev, logs)
+        return pe if self.secant else ev
 
     def _elements(self, ev: _GaussValues, logs: float) -> np.ndarray:
         """Scaled element gradients, shape (ncell, 4 nodes)."""
@@ -410,11 +414,11 @@ class _EnergyModel:
         energy and gradient.
         """
         m = np.maximum(np.exp(ev.logm - logs), 1e-290)
-        mp = m * (self.kpq - 2.0) / ev.n2
-        t, f0, f1 = self.tq, ev.f0, ev.f1
-        cq = np.stack([m * t[..., 0] + mp * f0 * f0,
-                       m * t[..., 1] + mp * f0 * f1,
-                       m * t[..., 2] + mp * f1 * f1], axis=-1)
+        mp = m * (2.0 * self.half_kpm2) / ev.n2
+        (t11, t12, t22), f0, f1 = self.tq, ev.f0, ev.f1
+        cq = np.stack([m * t11 + mp * f0 * f0,
+                       m * t12 + mp * f0 * f1,
+                       m * t22 + mp * f1 * f1], axis=-1)
         return self.pattern.assemble(cq.reshape(-1, 12) @ self.pattern.basis)
 
     # as a model for _newton: the merit is the energy and the residual its
@@ -474,8 +478,8 @@ def _factor(model, state, run: NewtonRun | None = None):
                                  state.u, run or NewtonRun()) from exc
 
 
-def _newton(model, u: np.ndarray, max_steps: int):
-    """Newton with an Armijo line search on ``model``'s merit, from u.
+def _newton(model, state, max_steps: int):
+    """Newton with an Armijo line search on ``model``'s merit, from ``state``.
 
     ``model.factor(state)`` returns a direction solver ``(g, state) -> d``
     for ``g = model.residual(state)``; ``merit(state, ref)`` is normalized
@@ -492,7 +496,7 @@ def _newton(model, u: np.ndarray, max_steps: int):
     stopped at ``model.converged`` once ``model.solved(state, last
     update)``, else at "rounding floor"; a stall carries the run so far.
     """
-    state, run, factors, full = model.evaluate(u), NewtonRun(), None, False
+    run, factors, full = NewtonRun(), None, False
     stale, update, history = False, math.inf, run.history
     while not model.solved(state, update):
         if len(history) >= max_steps:
@@ -589,17 +593,18 @@ def continue_k(spec: ProblemSpec,
          else harmonic_extension(spec.grid, spec.frame, spec.f))
     report, path = SolveReport(), []    # path: last two (k, u_k)
     for k in spec.config.k_schedule:
-        model, start = _EnergyModel(spec, k, tq), "warm"
+        model, predicted = _EnergyModel(spec, k, tq), None
         if len(path) == 2:
             (k0, u0), (k1, u1) = path
             c = (1.0 / k - 1.0 / k1) / (1.0 / k1 - 1.0 / k0)
             predicted = u1 + c * (u1 - u0)
-            if model.below(predicted, u):
-                u, start = predicted, "secant"
-        ev, run = _newton(model, u, _NEWTON_MAX_ITER)
+        # no name here holds the start's Gauss values, so (CPython 3.11+)
+        # Newton's next step frees them, before any later factorization
+        ev, run = _newton(model, model.start(u, predicted), _NEWTON_MAX_ITER)
         u = ev.u
-        report.per_k.append(PkStats(k=k, start=start, **vars(run),
-                                    weak_residual=model.weak_residual(ev)))
+        report.per_k.append(PkStats(
+            k=k, start="secant" if model.secant else "warm", **vars(run),
+            weak_residual=model.weak_residual(ev)))
         if path:
             gap = float(np.max(np.abs(u - path[-1][1])))
             report.gaps.append(gap)
@@ -673,9 +678,10 @@ def _polish_newton(u0: np.ndarray, frame: FrameField, p: np.ndarray,
     on a stop (step cap, failed line search or factorization) ``u0`` comes
     back.  ``report`` gets the run, both residual sups and the worst node."""
     model = _PolishModel(frame, p)
-    report.polish_initial = float(np.max(np.abs(model.evaluate(u0).r)))
+    start = model.evaluate(u0)
+    report.polish_initial = float(np.max(np.abs(start.r)))
     try:
-        state, report.polish = _newton(model, u0, sweeps)
+        state, report.polish = _newton(model, start, sweeps)
     except NewtonStall as exc:
         state, report.polish = model.evaluate(exc.u), exc.run
     jj, ii = np.unravel_index(np.argmax(np.abs(state.r)),

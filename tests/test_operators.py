@@ -5,7 +5,9 @@ formulas, frozen here to machine precision; field-level checks allow
 stencil error where the input is not polynomial.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from infxlap.expressions import parse
 from infxlap.grid import (_d_axis, build_grid, grad_ln_p, identity_frame,
                           riemannian_gradient, sample_frame,
                           symmetrized_hessian)
-from infxlap.operators import (ExponentData, PointJet, ResidualKernel,
+from infxlap.operators import (DELTA_LOG, ExponentData, PointJet,
+                               ResidualKernel,
                                infinity_residual_at, infinity_x_residual_at,
                                infinity_x_residual_field, max_form_residual,
                                min_form_residual, pk_residual_at)
@@ -161,6 +164,29 @@ def _variable_problem(nx=13, ny=11):
     return g, fr, p, u
 
 
+def _stencil_parts(frame, p, u):
+    """The kernel's interior jet parts from nested ``_d_axis`` stencils,
+    written out as :func:`infxlap.grid.symmetrized_hessian` nests them: the
+    reference for the sparse products."""
+    grid = frame.grid
+    a11, a12, a21, a22 = (frame.a[..., i, k] for i in (0, 1) for k in (0, 1))
+    ux = _d_axis(u, grid.hx, axis=1)
+    uy = _d_axis(u, grid.hy, axis=0)
+    g = (a11 * ux + a12 * uy, a21 * ux + a22 * uy)
+    gx = [_d_axis(c, grid.hx, axis=1)[1:-1, 1:-1] for c in g]
+    gy = [_d_axis(c, grid.hy, axis=0)[1:-1, 1:-1] for c in g]
+    b11, b12, b21, b22 = (c[1:-1, 1:-1] for c in (a11, a12, a21, a22))
+    g1, g2 = g[0][1:-1, 1:-1], g[1][1:-1, 1:-1]
+    h11 = b11 * gx[0] + b12 * gy[0]
+    h12 = 0.5 * ((b11 * gx[1] + b12 * gy[1]) + (b21 * gx[0] + b22 * gy[0]))
+    h22 = b21 * gx[1] + b22 * gy[1]
+    lnp = riemannian_gradient(np.log(p), frame)[1:-1, 1:-1]
+    n2 = g1 * g1 + g2 * g2
+    dot = g1 * lnp[..., 0] + g2 * lnp[..., 1]
+    log_n = np.log(np.maximum(np.sqrt(n2), DELTA_LOG))
+    return g1, g2, h11, h12, h22, n2, dot, log_n
+
+
 class TestResidualKernel:
     def test_matches_jets_node_by_node(self):
         g, fr, p, u = _variable_problem()
@@ -229,17 +255,74 @@ class TestResidualKernel:
         assert jac.nnz == ref.nnz
         assert (abs(jac - ref).max() <= 1e-13 * abs(ref).max())
 
-    def test_jacobian_blocks_built_once_per_frame(self):
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diag"])
+    def test_sparse_jet_matches_stencil_reference(self, diagonal):
+        # the same stencils summed in another order: D_X u and the Hessian
+        # differ from the nested stencils by rounding of u's differences,
+        # of order eps max|u| / h and eps max|u| / h^2
+        g, fr, p, u = _variable_problem()
+        if diagonal:
+            fr = sample_frame(parse("1"), parse("0"), parse("0"),
+                              parse("1 + x/2"), g)
+        kernel = ResidualKernel(fr, p)
+        got, ref = kernel._parts(u), _stencil_parts(fr, p, u)
+        eps, umax = np.finfo(float).eps, float(np.max(np.abs(u)))
+        for k, tol in enumerate([16 * eps * umax / min(g.hx, g.hy)] * 2
+                                + [16 * eps * umax / (g.hx * g.hy)] * 3):
+            assert got[k].shape == ref[k].shape == (g.ny - 2, g.nx - 2)
+            assert np.max(np.abs(got[k] - ref[k])) <= tol, k
+        g1, g2, h11, h12, h22, n2, dot, log_n = ref
+        r = -(h11 * g1 * g1 + 2.0 * h12 * g1 * g2 + h22 * g2 * g2
+              + n2 * dot * log_n)
+        assert np.max(np.abs(kernel.jets(u)[0] - r)) <= 1e-13 * np.max(
+            np.abs(r))
+
+    def test_jacobian_blocks_built_once_per_frame(self, monkeypatch):
         # p enters only through the per-step weights, so kernels of any
         # exponent on one frame share the blocks; a new frame builds anew
         g, fr, p, u = _variable_problem()
-        operators._jacobian_blocks.cache_clear()
+        built, real = [], operators._jacobian_blocks
+        monkeypatch.setattr(operators, "_jacobian_blocks",
+                            lambda frame: built.append(frame) or real(frame))
         for kernel in (ResidualKernel(fr, p), ResidualKernel(fr, p + 1.0)):
             kernel.jacobian(u)
             kernel.jacobian(u + 0.1)
-        assert operators._jacobian_blocks.cache_info().misses == 1
-        ResidualKernel(fr.scaled(2.0), p).jacobian(u)
-        assert operators._jacobian_blocks.cache_info().misses == 2
+        assert built == [fr]
+        scaled = fr.scaled(2.0)
+        ResidualKernel(scaled, p).jacobian(u)
+        assert built == [fr, scaled]
+
+    def test_residual_and_jacobian_share_one_operator(self, monkeypatch):
+        # G is built once for the frame, by its first kernel: the Jacobian
+        # blocks are products of that G, not of a second copy
+        g, fr, p, u = _variable_problem()
+        krons, real = [], sp.kron
+        monkeypatch.setattr(sp, "kron",
+                            lambda *a, **k: krons.append(a) or real(*a, **k))
+        kernel = ResidualKernel(fr, p)
+        kernel(u)
+        kernel.jacobian(u)
+        ResidualKernel(fr, p + 1.0).jacobian(u)
+        assert len(krons) == 2          # Dx and Dy of the one G
+        assert kernel._g is fr.jet_operator
+        n = g.n_nodes
+        inner = np.flatnonzero(g.interior_mask())
+        g1 = fr.jet_operator[:n][inner][:, inner].toarray()
+        data, rows, indptr = fr.jacobian_blocks
+        block = sp.csc_matrix((data[:, 3], rows, indptr), shape=g1.shape)
+        assert np.array_equal(block.toarray(), g1)
+
+    def test_frame_freed_with_its_operators(self):
+        # G and the Jacobian blocks live on the frame: nothing in operators
+        # keeps a frame alive once its kernels are gone
+        g, fr, p, u = _variable_problem()
+        kernel = ResidualKernel(fr, p)
+        kernel.jacobian(u)
+        assert "jacobian_blocks" in vars(fr) and "jet_operator" in vars(fr)
+        ref = weakref.ref(fr)
+        del kernel, fr
+        gc.collect()
+        assert ref() is None
 
     def test_exponent_at_most_one_rejected(self):
         g, fr, p, u = _variable_problem()

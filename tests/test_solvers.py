@@ -650,9 +650,9 @@ class TestPredictorCorrector:
         # the previous minimizer's, at one normalization
         runs, real = [], solvers._newton
 
-        def recording(model, u, max_steps):
-            out = real(model, u, max_steps)
-            runs.append((model, u.copy(), out[0].u))
+        def recording(model, start, max_steps):
+            out = real(model, start, max_steps)
+            runs.append((model, start.u.copy(), out[0].u))
             return out
 
         monkeypatch.setattr(solvers, "_newton", recording)
@@ -666,6 +666,43 @@ class TestPredictorCorrector:
                 assert model.energy(a, logs) < model.energy(b, logs)
             else:
                 assert np.array_equal(start, prev)
+
+    @pytest.mark.parametrize("problem", [lambda: _varframe(17), _saddle],
+                             ids=["varframe17", "saddle"])
+    def test_each_iterate_evaluated_once(self, problem, monkeypatch):
+        # a k stage evaluates its warm start once, and from the third k the
+        # prediction once, also where the guard keeps one of them; every
+        # other evaluation is a line-search trial, and none repeats a field
+        seen, real = [], solvers._EnergyModel.evaluate
+        monkeypatch.setattr(solvers._EnergyModel, "evaluate",
+                            lambda model, u: seen.append((model.k, u.copy()))
+                            or real(model, u))
+        spec = problem()
+        warm = harmonic_extension(spec.grid, spec.frame, spec.f)
+        seen.clear()
+        u, report = continue_k(spec, init=warm)
+        assert [k for k, _ in seen if k not in spec.config.k_schedule] == []
+        for i, stats in enumerate(report.per_k):
+            fields = [v for k, v in seen if k == stats.k]
+            assert sum(np.array_equal(v, warm) for v in fields) == 1, stats.k
+            starts = 1 if i < 2 else 2
+            assert len(fields) >= starts + stats.iterations
+            assert len({v.tobytes() for v in fields}) == len(fields), stats.k
+            warm = fields[-1]
+        assert np.array_equal(warm, u)
+
+    def test_polish_evaluates_its_start_once(self, monkeypatch):
+        spec = _varframe(17)
+        u0, _ = continue_k(spec)
+        seen, real = [], solvers._PolishModel.evaluate
+        monkeypatch.setattr(solvers._PolishModel, "evaluate",
+                            lambda model, u: seen.append(u.copy())
+                            or real(model, u))
+        report = SolveReport()
+        _polish_newton(u0, spec.frame, spec.p, 20, report)
+        assert report.polish_accepted
+        assert sum(np.array_equal(v, u0) for v in seen) == 1
+        assert len(seen) >= 1 + report.polish.iterations
 
     def test_guard_keeps_the_warm_start_on_the_saddle(self):
         _, report = continue_k(_saddle())
