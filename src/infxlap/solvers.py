@@ -15,9 +15,14 @@ coefficients interpolated from the nodes), once per iterate.  Its Hessian
 is symmetric positive definite, reproduces linear fields exactly, and (for
 the unit frame at kp = 2) annihilates the harmonic polynomial x^2 - y^2
 exactly.  One Newton routine runs both stages, the continuation and the
-polish.  SuperLU factors the Hessian's equilibrated interior block in the
-grid's nested-dissection numbering, the Jacobian in minimum degree; later
-steps reuse the factors (chord steps) or precondition CG or GMRES with them.
+polish.  The Hessian's equilibrated interior block is factored by LAPACK's
+band Cholesky where the grid's short interior side has at most
+``_BAND_MAX`` nodes, numbered along that side; there the band's dense
+kernels beat SuperLU's per-column work.  On wider grids SuperLU factors it
+in nested-dissection order, whose fill grows more slowly (George & Liu,
+*Computer Solution of Large Sparse Positive Definite Systems*, 1981, chs. 4
+and 8).  SuperLU factors the Jacobian in minimum degree.  Later steps reuse
+the factors (chord steps) or precondition CG or GMRES with them.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .grid import FrameField, Grid2D
@@ -38,6 +44,9 @@ from .grid import FrameField, Grid2D
 from .operators import ResidualKernel, infinity_x_residual_field  # noqa: F401
 
 _P_MIN = 2.0        # smallest exponent p(x) a problem may sample
+# widest short interior side factored as a band (65 nodes across); the
+# band's fill grows as m^3, nested dissection's as m^2 log m
+_BAND_MAX = 63
 
 
 class SolverError(RuntimeError):
@@ -57,7 +66,7 @@ class NewtonStall(SolverError):
 
 
 class FactorizationError(NewtonStall):
-    """SuperLU could not factor the stage's matrix at ``u``."""
+    """The stage's matrix at ``u`` could not be factored."""
 
 
 @dataclass
@@ -103,6 +112,7 @@ class NewtonRun:
     chord_steps: int = 0        # steps on the last factors alone
     krylov_solves: int = 0      # preconditioned by them, tried
     krylov_iterations: int = 0
+    superlu_fallbacks: int = 0  # band Cholesky breakdowns SuperLU factored
 
     @property
     def iterations(self) -> int:
@@ -115,7 +125,8 @@ class NewtonRun:
     def format_counts(self) -> str:
         return " ".join([f"{name}={getattr(self, name):<4d}" for name in (
             "iterations", "factorizations", "chord_steps", "krylov_solves",
-            "krylov_iterations")] + [f"final_update={self.final_update:.3e}"])
+            "krylov_iterations", "superlu_fallbacks")]
+            + [f"final_update={self.final_update:.3e}"])
 
 
 @dataclass(kw_only=True)
@@ -222,11 +233,15 @@ def _nested_dissection(mj: int, mi: int) -> np.ndarray:
 class _InteriorPattern:
     """Interior block of the bilinear stiffness matrix on a fixed CSC pattern.
 
-    Interior nodes are numbered in nested-dissection order, which the
-    factorization keeps; ``interior`` holds their flat ids in that order.
+    The grid's short interior side m chooses the numbering, and with it the
+    factorization.  Up to ``_BAND_MAX`` nodes the interior is numbered
+    along the short side, which makes the block a band of half-width
+    ``kd`` = m + 1; wider grids number it in nested-dissection order and
+    ``kd`` is None.  ``interior`` holds the flat node ids in that order.
     Column n holds the interior nodes that share a cell with node n, rows
     ascending.  ``indptr``, ``indices`` and the slot of each element-matrix
-    entry (``nnz`` if it touches the boundary) depend on the grid alone.
+    entry (``nnz`` if it touches the boundary) depend on the grid alone, as
+    does the band-storage slot of each lower-triangle entry.
     """
 
     def __init__(self, grid: Grid2D):
@@ -235,8 +250,13 @@ class _InteriorPattern:
         node = np.arange(ny * nx).reshape(ny, nx)
         self.gidx = np.stack([node[j:ny - 1 + j, i:nx - 1 + i].ravel()
                               for j, i in zip(_CJ, _CI)], axis=1)  # (ncell, 4)
-        self.interior = node[1:-1, 1:-1].ravel()[
-            _nested_dissection(ny - 2, nx - 2)]
+        inner, m = node[1:-1, 1:-1], min(ny, nx) - 2
+        if m <= _BAND_MAX:
+            self.kd = m + 1
+            self.interior = (inner if nx <= ny else inner.T).ravel()
+        else:
+            self.kd = None
+            self.interior = inner.ravel()[_nested_dissection(ny - 2, nx - 2)]
         number = np.full(ny * nx, -1)
         number[self.interior] = np.arange(n)
         # entry (a, b) of a cell's element matrix: row corner a, column
@@ -251,6 +271,12 @@ class _InteriorPattern:
         self.indices, self.col = (keys % n).astype(np.intc), keys // n
         self.indptr = np.searchsorted(self.col, range(n + 1)).astype(np.intc)
         self.diag = np.searchsorted(keys, np.arange(n) * (n + 1))
+        if self.kd is not None:
+            # LAPACK lower band storage, column-major (kd + 1, n): entry
+            # (r, c), r >= c, at row r - c of column c
+            self.lower = np.flatnonzero(self.indices >= self.col)
+            r, c = self.indices[self.lower], self.col[self.lower]
+            self.band = r - c + c * (self.kd + 1)
         # element matrices ke = cq.reshape(ncell, 12) @ basis: ke[c, (a, b)]
         # = sum_q detj grad N_a . C(q) grad N_b, cq[c, q] = (C11, C12, C22)
         bx = self.bx = _DXI * (2.0 / grid.hx)                # (4gp, 4nodes)
@@ -270,17 +296,39 @@ class _InteriorPattern:
         return sp.csc_matrix((data, self.indices, self.indptr),
                              shape=(self.n, self.n))
 
-    def factor(self, data: np.ndarray):
-        """SuperLU factors of S A S, S = diag(A)^(-1/2), and diag(S).
+    def factor(self, data: np.ndarray, run: NewtonRun | None = None):
+        """A solve x = (S A S)^(-1) b from factors of S A S, and diag(S),
+        S = diag(A)^(-1/2).
 
         Equilibration, since the weight grading reaches ~e^600 at large kp,
-        leaves S A S SPD with a unit diagonal: LU without pivoting is then
-        Cholesky up to a diagonal scaling, and backward stable.
+        leaves S A S SPD with a unit diagonal.  On a band (``kd`` set),
+        LAPACK's ``dpbtrf`` factors it by Cholesky in place: from 17 to 65
+        nodes across, its dense kernels take a seventh to a half of
+        SuperLU's time, which goes to per-column work.  Elsewhere SuperLU
+        factors it in nested-dissection order without pivoting, which is
+        then Cholesky up to a diagonal scaling, and backward stable; its
+        fill grows more slowly than the band's.  Where rounding leaves the
+        band a non-positive pivot, SuperLU's unpivoted LU factors the same
+        matrix instead, and ``run.superlu_fallbacks`` counts it; with no run
+        to count it in, the breakdown raises.
         """
         s = 1.0 / np.sqrt(data[self.diag])
-        return splu(self.matrix(data * s[self.indices] * s[self.col]),
-                    permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True)), s
+        sas = data * s[self.indices] * s[self.col]
+        if self.kd is not None:
+            ab = np.zeros((self.kd + 1) * self.n)
+            ab[self.band] = sas[self.lower]
+            # Fortran order, so that f2py factors the array in place
+            cb, info = dpbtrf(ab.reshape(self.kd + 1, self.n, order="F"),
+                              lower=1, overwrite_ab=1)
+            if info == 0:
+                return lambda b: dpbtrs(cb, b, lower=1)[0], s
+            if run is None:
+                raise RuntimeError(f"band Cholesky met a non-positive pivot "
+                                   f"at {info} and no run records a fallback")
+            run.superlu_fallbacks += 1
+        return splu(self.matrix(sas), permc_spec="NATURAL",
+                    diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True)).solve, s
 
 
 @functools.lru_cache(maxsize=1)
@@ -448,15 +496,16 @@ class _EnergyModel:
             x, z = x + a * p, pre(r := r - a * q)
             p, rz = z + (r @ z / rz) * p, r @ z
 
-    def factor(self, ev: _GaussValues):
-        """Direction solver from the SuperLU factors of the equilibrated
-        Hessian at ev; it keeps no Gauss-point values alive."""
-        lu, s = self.pattern.factor(self.hessian(ev, ev.log_scale))
+    def factor(self, ev: _GaussValues, run: NewtonRun | None = None):
+        """Direction solver from the factors of the equilibrated Hessian at
+        ev (:meth:`_InteriorPattern.factor`, which counts a fallback in
+        ``run``); it keeps no Gauss-point values alive."""
+        solve, s = self.pattern.factor(self.hessian(ev, ev.log_scale), run)
         logs = ev.log_scale
         # energy, gradient and Hessian all carry exp(-log_scale), so
         # factors built at another scale are rescaled by the difference
         return lambda grad, at: (math.exp(at.log_scale - logs)
-                                 * (s * lu.solve(s * -grad)))
+                                 * (s * solve(s * -grad)))
 
 
 _NEWTON_TOL = 1e-8        # sup-norm update that ends a k stage
@@ -469,19 +518,19 @@ _NEWTON_MAX_ITER = 500
 
 
 def _factor(model, state, run: NewtonRun | None = None):
-    """``model.factor(state)``, raising :class:`FactorizationError`."""
+    """``model.factor(state, run)``, raising :class:`FactorizationError`."""
     try:
-        return model.factor(state)
+        return model.factor(state, run)
     except RuntimeError as exc:
-        raise FactorizationError(model, "factorization failed: SuperLU could"
-                                 f" not factor the {model.stage}: {exc}",
+        raise FactorizationError(model, "factorization failed: could not "
+                                 f"factor the {model.stage}: {exc}",
                                  state.u, run or NewtonRun()) from exc
 
 
 def _newton(model, state, max_steps: int):
     """Newton with an Armijo line search on ``model``'s merit, from ``state``.
 
-    ``model.factor(state)`` returns a direction solver ``(g, state) -> d``
+    ``model.factor(state, run)`` returns a direction solver ``(g, state) -> d``
     for ``g = model.residual(state)``; ``merit(state, ref)`` is normalized
     at ref and has the derivative ``slope(g, d)`` along d.  After a full
     step the last factors give a chord step (Kelley, *Solving Nonlinear
@@ -552,17 +601,18 @@ def _newton(model, state, max_steps: int):
     return state, replace(run, stop=model.converged)
 
 
-def harmonic_extension(grid: Grid2D, frame: FrameField,
-                       f: np.ndarray) -> np.ndarray:
+def harmonic_extension(grid: Grid2D, frame: FrameField, f: np.ndarray,
+                       tq: tuple | None = None) -> np.ndarray:
     """Discrete frame-harmonic extension of the boundary values of f.
 
     The kp = 2 energy is quadratic, so one Newton step from f with its
     interior zeroed (only the boundary of f need be finite) minimizes it.
+    ``tq`` is the frame's :func:`_frame_tensor`, built here if not given.
     """
     u = np.where(grid.interior_mask(), 0.0, np.asarray(f, dtype=float))
     model = _EnergyModel(ProblemSpec(grid=grid, frame=frame, f=u,
                                      p=np.full(grid.shape, 2.0)), 1.0,
-                         _frame_tensor(frame))
+                         _frame_tensor(frame) if tq is None else tq)
     ev = model.evaluate(u)
     u.ravel()[model.interior] += _factor(model, ev)(model.residual(ev), ev)
     return u
@@ -579,18 +629,18 @@ def continue_k(spec: ProblemSpec,
     k1, Newton starts from the prediction u1 + c (u1 - u0), c = (1/k -
     1/k1) / (1/k1 - 1/k0), linear in 1/k and 0.5 on a doubling schedule,
     if its k-energy is below u1's at one normalization, and from u1
-    otherwise.  Every k shares one frame tensor at the Gauss points.  The
-    continuation stops once successive minimizers differ by less than
-    ``_CONTINUATION_TOL``.  With eps != 0 it solves the Jensen auxiliary
-    equation: eps > 0 targets the min form, eps < 0 the max form.  A
-    Newton failure propagates, tagged with its k.
+    otherwise.  The harmonic start and every k share one frame tensor at
+    the Gauss points.  The continuation stops once successive minimizers
+    differ by less than ``_CONTINUATION_TOL``.  With eps != 0 it solves
+    the Jensen auxiliary equation: eps > 0 targets the min form, eps < 0
+    the max form.  A Newton failure propagates, tagged with its k.
     """
     if not spec.config.k_schedule:
         raise ValueError("empty k schedule")
     t0 = time.perf_counter()
     tq = _frame_tensor(spec.frame)
     u = (np.asarray(init, dtype=float) if init is not None
-         else harmonic_extension(spec.grid, spec.frame, spec.f))
+         else harmonic_extension(spec.grid, spec.frame, spec.f, tq))
     report, path = SolveReport(), []    # path: last two (k, u_k)
     for k in spec.config.k_schedule:
         model, predicted = _EnergyModel(spec, k, tq), None
@@ -663,7 +713,7 @@ class _PolishModel:
         return x, info == 0 or steps[-1] * np.linalg.norm(b) <= (
             _KRYLOV_FORCING * scale), len(steps)
 
-    def factor(self, state: State):
+    def factor(self, state: State, run: NewtonRun | None = None):
         # a minimum-degree order on J + J^t with a weak pivot threshold
         # has ~40 % less fill than COLAMD and factors twice as fast
         lu = splu(self.kernel.jacobian(state.u), permc_spec="MMD_AT_PLUS_A",

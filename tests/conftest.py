@@ -8,7 +8,7 @@ reproduces without the example database.
 import pytest
 from hypothesis import settings
 
-from infxlap import grid
+from infxlap import grid, solvers
 
 settings.register_profile("infxlap", derandomize=True, deadline=None)
 settings.load_profile("infxlap")
@@ -26,3 +26,30 @@ def graph_builds(monkeypatch):
 
     monkeypatch.setattr(grid, "_distance_graph", counting)
     return builds
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The Hessian factorizations made while the test runs, one entry each:
+    True on a band pattern, False on a nested-dissection one."""
+    calls = []
+    factor = solvers._InteriorPattern.factor
+
+    def counting(pattern, data, run=None):
+        calls.append(pattern.kd is not None)
+        return factor(pattern, data, run)
+
+    monkeypatch.setattr(solvers._InteriorPattern, "factor", counting)
+    return calls
+
+
+@pytest.fixture
+def band_limit(monkeypatch):
+    """``band_limit(m)`` sets the widest short interior side factored as a
+    band for the patterns built after it (-1: none); the cached pattern is
+    dropped then and at the end of the test."""
+    def use(m):
+        monkeypatch.setattr(solvers, "_BAND_MAX", m)
+        solvers._interior_pattern.cache_clear()
+    yield use
+    solvers._interior_pattern.cache_clear()

@@ -1,8 +1,10 @@
-"""The Newton Hessian's factorization: every call goes through
-``solvers.splu`` in the pattern's own nested-dissection order, a
+"""The Newton Hessian's factorization: a grid whose short interior side
+has at most ``solvers._BAND_MAX`` nodes is factored by LAPACK's band
+Cholesky, a wider one through ``solvers.splu`` in the pattern's own
+nested-dissection order, and the two give the same solves.  A
 continuation reuses factors while its steps contract and still ends each
-k at a resolved minimizer, that order fills no more than SuperLU's minimum
-degree, and symmetric mode agrees with partial pivoting."""
+k at a resolved minimizer, nested dissection fills no more than SuperLU's
+minimum degree, and symmetric mode agrees with partial pivoting."""
 
 import numpy as np
 import pytest
@@ -12,11 +14,12 @@ from infxlap import solvers
 from infxlap.expressions import parse
 from infxlap.grid import build_grid, sample_frame
 from infxlap.solvers import (ProblemSpec, SolverConfig, _EnergyModel,
-                             _frame_tensor)
+                             _frame_tensor, _InteriorPattern,
+                             _nested_dissection)
 
 
-def varframe_spec(n=17):
-    g = build_grid(0.0, 1.0, 0.0, 1.0, n, n)
+def varframe_spec(n=17, ny=None):
+    g = build_grid(0.0, 1.0, 0.0, 1.0, n, ny or n)
     fr = sample_frame(parse("1"), parse("0"), parse("0"), parse("1 + x/2"), g)
     X, Y = g.meshgrid()
     return ProblemSpec(grid=g, frame=fr, p=2.0 + X ** 2 / 4.0,
@@ -38,25 +41,41 @@ def splu_calls(monkeypatch):
     return calls
 
 
-def test_every_factorization_goes_through_solvers_splu(splu_calls):
-    # the benchmark times factorizations by wrapping this module attribute;
-    # a call that bypasses it would read as no factorization time at all
-    _, report = solvers.continue_k(varframe_spec())
+def test_every_factorization_goes_through_solvers_splu(splu_calls,
+                                                        factor_calls):
+    # on a grid too wide for the band, the benchmark times factorizations
+    # by wrapping this module attribute; a call that bypasses it would read
+    # as no factorization time at all
+    spec = varframe_spec(solvers._BAND_MAX + 3)
+    _, report = solvers.continue_k(spec)
     factored = sum(s.factorizations for s in report.per_k)
     # one for the harmonic start, then the ones each k reports, each in the
     # pattern's nested-dissection numbering
+    assert factor_calls == [False] * (1 + factored)
     assert splu_calls == ["NATURAL"] * (1 + factored)
 
 
-def test_continuation_reuses_factorizations(splu_calls):
+def test_every_factorization_is_counted(splu_calls, factor_calls):
+    # on a band grid no Hessian goes to SuperLU unless the record counts
+    # its Cholesky breakdown
+    _, report = solvers.continue_k(varframe_spec())
+    factored = sum(s.factorizations for s in report.per_k)
+    assert factor_calls == [True] * (1 + factored)
+    assert len(splu_calls) == sum(s.superlu_fallbacks for s in report.per_k)
+    assert splu_calls == []
+
+
+def test_continuation_reuses_factorizations(factor_calls):
     _, report = solvers.continue_k(varframe_spec())
     newton = sum(s.iterations for s in report.per_k)
     # 8 with the harmonic start: one per k, and one more at k = 64, where a
     # Krylov solve on the stale factors hits its cap; 11 when a failed
     # chord step refactored, 13 with warm starts alone, 26 with one per
     # Newton step
-    assert len(splu_calls) < newton
-    assert len(splu_calls) <= 8
+    assert len(factor_calls) == 1 + sum(s.factorizations
+                                        for s in report.per_k)
+    assert len(factor_calls) < newton
+    assert 0 < len(factor_calls) <= 8
 
 
 def test_report_prints_factorizations():
@@ -114,21 +133,36 @@ def test_reused_factors_follow_the_gradient_scale():
                            rtol=1e-12, atol=0.0)
 
 
-def k64_hessian(n):
-    """The equilibrated k = 64 Newton Hessian at the continuation field."""
-    spec = varframe_spec(n)
+def k64_hessian(spec):
+    """The k = 64 Newton Hessian at the continuation field: its pattern,
+    CSC data and the equilibrated matrix S A S."""
     u, _ = solvers.continue_k(spec)
     model = _EnergyModel(spec, 64.0, _frame_tensor(spec.frame))
     ev = model.evaluate(u)
     data = model.hessian(ev, ev.log_scale)
     pattern = model.pattern
-    lu, s = pattern.factor(data)
-    a = pattern.matrix(data * s[pattern.indices] * s[pattern.col])
-    return pattern, lu, a
+    s = 1.0 / np.sqrt(data[pattern.diag])
+    return pattern, data, pattern.matrix(data * s[pattern.indices]
+                                         * s[pattern.col])
+
+
+def nested_dissection_of(pattern, grid):
+    """Positions in the pattern's numbering, in nested-dissection order."""
+    mj, mi = np.subtract(grid.shape, 2)
+    return np.argsort(pattern.interior)[_nested_dissection(mj, mi)]
+
+
+def superlu(a):
+    """The SuperLU factors the nested-dissection path computes for a."""
+    return splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True))
 
 
 def test_nested_dissection_fills_no_more_than_minimum_degree():
-    pattern, lu, a = k64_hessian(33)
+    spec = varframe_spec(33)
+    pattern, _, a = k64_hessian(spec)
+    nd = nested_dissection_of(pattern, spec.grid)
+    lu = superlu(a[nd][:, nd].tocsc())
     # the same matrix in row-major node order, ordered by SuperLU
     rowmajor = np.argsort(pattern.interior)
     mmd = splu(a[rowmajor][:, rowmajor].tocsc(), permc_spec="MMD_AT_PLUS_A",
@@ -136,10 +170,48 @@ def test_nested_dissection_fills_no_more_than_minimum_degree():
     assert lu.L.nnz + lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
 
 
-def test_symmetric_mode_agrees_with_partial_pivoting():
-    pattern, lu, a = k64_hessian(17)
+def test_symmetric_mode_agrees_with_partial_pivoting(band_limit):
+    band_limit(-1)
+    pattern, data, a = k64_hessian(varframe_spec())
+    assert pattern.kd is None
+    solve, _ = pattern.factor(data)
     b = np.random.default_rng(3).normal(size=pattern.n)
-    x_sym = lu.solve(b)
+    x_sym = solve(b)
     x_piv = splu(a).solve(b)
     assert np.linalg.norm(x_sym - x_piv) <= 1e-10 * np.linalg.norm(x_piv)
     assert np.allclose(a.diagonal(), 1.0)
+
+
+@pytest.mark.parametrize("nx, ny", [(17, 17), (21, 17), (17, 21)],
+                         ids=["17x17", "21x17", "17x21"])
+def test_band_solve_agrees_with_superlu(nx, ny):
+    spec = varframe_spec(nx, ny)
+    pattern, data, a = k64_hessian(spec)
+    # numbered along the short side, the block is a band of half-width 16
+    assert pattern.kd == 16 == np.max(np.abs(a.tocoo().row - a.tocoo().col))
+    solve, s = pattern.factor(data)
+    assert np.array_equal(s, 1.0 / np.sqrt(data[pattern.diag]))
+    nd = nested_dissection_of(pattern, spec.grid)
+    b = np.random.default_rng(nx * ny).normal(size=pattern.n)
+    x_band, x_lu = solve(b), np.empty(pattern.n)
+    x_lu[nd] = superlu(a[nd][:, nd].tocsc()).solve(b[nd])
+    assert np.linalg.norm(x_band - x_lu) <= 1e-12 * np.linalg.norm(x_lu)
+
+
+@pytest.mark.parametrize("nx, ny", [(65, 65), (65, 90), (90, 65)])
+def test_factorization_flips_above_the_band_limit(nx, ny, splu_calls):
+    # a short interior side of 63 nodes is factored as a band, of 64 by
+    # nested dissection and SuperLU
+    assert solvers._BAND_MAX == 63
+    for grow, kd in ((0, 64), (1, None)):
+        grid = build_grid(0.0, 1.0, 0.0, 1.0, nx + grow, ny + grow)
+        pattern = _InteriorPattern(grid)
+        assert pattern.kd == kd
+        laplace = np.tile([1.0, 0.0, 1.0], (len(pattern.gidx), 4))
+        data = pattern.assemble(laplace @ pattern.basis)
+        b = np.ones(pattern.n)
+        x = pattern.factor(data)[0](b)
+        s = 1.0 / np.sqrt(data[pattern.diag])
+        a = pattern.matrix(data * s[pattern.indices] * s[pattern.col])
+        assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert splu_calls == ["NATURAL"]

@@ -185,11 +185,24 @@ class TestInteriorPattern:
         assert np.array_equal(_nested_dissection(*shape), ref)
 
     def test_interior_numbered_in_nested_dissection_order(self):
-        g = build_grid(0.0, 1.0, 0.0, 1.5, 9, 7)
+        # both interior sides above the band's limit
+        g = build_grid(0.0, 1.0, 0.0, 1.5, 67, 66)
         pattern = _InteriorPattern(g)
         rowmajor = np.flatnonzero(g.interior_mask())
+        assert pattern.kd is None
         assert np.array_equal(pattern.interior,
-                              rowmajor[_nested_dissection(5, 7)])
+                              rowmajor[_nested_dissection(64, 65)])
+
+    def test_interior_numbered_along_the_short_side(self, case):
+        g = case[0]
+        pattern = _InteriorPattern(g)
+        inner = np.flatnonzero(g.interior_mask()).reshape(g.ny - 2, -1)
+        # 7 nodes across: a band of half-width 6 (5 interior nodes + 1)
+        assert pattern.kd == 6
+        assert np.array_equal(pattern.interior,
+                              (inner if g.nx < g.ny else inner.T).ravel())
+        mat = pattern.matrix(np.ones(pattern.nnz)).tocoo()
+        assert np.max(np.abs(mat.row - mat.col)) == pattern.kd
 
     def test_built_once_per_continuation(self, monkeypatch):
         builds = []
@@ -281,7 +294,9 @@ class TestSolvePk:
         assert exc.value.run.iterations >= 1
         assert exc.value.run.stop == exc.value.reason == "step cap"
 
-    def test_factorization_failure_named(self, monkeypatch):
+    def test_factorization_failure_named(self, monkeypatch, band_limit):
+        # both factorizations: SuperLU on nested dissection fails; the band
+        # Cholesky breaks down, and SuperLU fails on the same matrix
         g = unit_grid(9)
         fr = identity_frame(g)
         X, Y = g.meshgrid()
@@ -293,25 +308,33 @@ class TestSolvePk:
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(solvers, "splu", singular)
+        monkeypatch.setattr(solvers, "dpbtrf", lambda ab, **kw: (ab, 3))
+        for limit, fallbacks in ((-1, 0), (solvers._BAND_MAX, 1)):
+            band_limit(limit)
+            with pytest.raises(FactorizationError) as exc:
+                solve_pk(spec, 8.0, init=warm)
+            assert isinstance(exc.value, SolverError)
+            assert exc.value.k == 8.0
+            assert exc.value.run.history == []
+            assert exc.value.run.factorizations == 0
+            assert exc.value.run.superlu_fallbacks == fallbacks
+            assert "exactly singular" in str(exc.value)
+        # the harmonic start has no run to count a fallback in
         with pytest.raises(FactorizationError) as exc:
-            solve_pk(spec, 8.0, init=warm)
-        assert isinstance(exc.value, SolverError)
-        assert exc.value.k == 8.0
-        assert exc.value.run.history == []
-        assert exc.value.run.factorizations == 0
-        assert "exactly singular" in str(exc.value)
+            harmonic_extension(g, fr, spec.f)
+        assert "non-positive pivot at 3" in str(exc.value)
 
-    def test_ascent_direction_named(self, monkeypatch):
+    def test_ascent_direction_named(self, monkeypatch, band_limit):
         # factors whose solves come back negated give ascent directions:
         # Newton stops and says so instead of falling back to steepest
-        # descent
+        # descent, with either factorization
         g = unit_grid(9)
         fr = identity_frame(g)
         X, Y = g.meshgrid()
         spec = ProblemSpec(grid=g, frame=fr, p=np.full(g.shape, 2.0),
                            f=(X ** 2 + Y ** 2))
         warm = harmonic_extension(g, fr, spec.f)
-        real = solvers.splu
+        real, real_band = solvers.splu, solvers.dpbtrs
 
         class Negated:
             def __init__(self, lu):
@@ -322,14 +345,18 @@ class TestSolvePk:
 
         monkeypatch.setattr(solvers, "splu",
                             lambda *a, **kw: Negated(real(*a, **kw)))
-        with pytest.raises(NewtonStall) as exc:
-            continue_k(spec, init=warm)
-        assert exc.value.k == spec.config.k_schedule[0]
-        assert exc.value.reason == "no descent direction"
-        assert "no descent direction" in str(exc.value)
-        assert exc.value.run.history == []
-        assert exc.value.run.factorizations == 1
-        assert np.array_equal(exc.value.u, warm)
+        monkeypatch.setattr(solvers, "dpbtrs", lambda *a, **kw: (
+            -real_band(*a, **kw)[0], 0))
+        for limit in (-1, solvers._BAND_MAX):
+            band_limit(limit)
+            with pytest.raises(NewtonStall) as exc:
+                continue_k(spec, init=warm)
+            assert exc.value.k == spec.config.k_schedule[0]
+            assert exc.value.reason == "no descent direction"
+            assert "no descent direction" in str(exc.value)
+            assert exc.value.run.history == []
+            assert exc.value.run.factorizations == 1
+            assert np.array_equal(exc.value.u, warm)
 
 
 class TestContinuation:
@@ -528,16 +555,21 @@ class TestPolish:
                 f"factorizations={run.factorizations:<4d} "
                 in report.format().splitlines()[-2])
 
-    def test_every_factorization_is_in_the_record(self, monkeypatch):
-        # the harmonic start factors once; every other splu call is a
-        # factorization some Newton run reports
+    def test_every_factorization_is_in_the_record(self, monkeypatch,
+                                                  factor_calls):
+        # the harmonic start factors once; every other factorization is one
+        # some Newton run reports, and every splu call the polish's or a
+        # counted Cholesky breakdown
         calls, real = [], solvers.splu
         monkeypatch.setattr(solvers, "splu",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         _, report = solve_dirichlet_infinity(_varframe(17))
         assert report.polish_accepted is True
         factored = sum(s.factorizations for s in report.per_k)
-        assert len(calls) == 1 + factored + report.polish.factorizations
+        fallbacks = sum(s.superlu_fallbacks for s in report.per_k)
+        assert len(factor_calls) == 1 + factored
+        assert len(calls) == report.polish.factorizations + fallbacks
+        assert len(calls) > 0
 
     def test_gmres_saves_jacobian_factorizations(self, monkeypatch):
         # at 65^2 the polish's chord steps fail where it factored its
@@ -721,6 +753,17 @@ class TestPredictorCorrector:
         assert len(report.per_k) > 1
         assert calls == [spec.frame]
 
+    def test_harmonic_start_shares_the_frame_tensor(self, monkeypatch):
+        spec = _varframe(17)
+        warm = harmonic_extension(spec.grid, spec.frame, spec.f)
+        calls, real = [], solvers._frame_metric_pack
+        monkeypatch.setattr(solvers, "_frame_metric_pack",
+                            lambda frame: calls.append(frame) or real(frame))
+        u, report = continue_k(spec)
+        assert len(report.per_k) > 1
+        assert calls == [spec.frame]
+        assert np.array_equal(u, continue_k(spec, init=warm)[0])
+
 
 class TestStopReasons:
     def test_varframe_stages_end_on_the_tolerance(self):
@@ -744,6 +787,28 @@ class TestStopReasons:
         assert stats.stop == "rounding floor"
         assert stats.final_update > solvers._NEWTON_TOL
         assert "stop=rounding floor" in SolveReport(per_k=[stats]).format()
+
+    def test_saddle_cholesky_breakdowns_are_counted(self, monkeypatch):
+        # at k = 64 the saddle's equilibrated Hessians lose positive
+        # pivots to rounding in the band Cholesky; SuperLU factors each of
+        # them instead, the record counts every one, and the stop reasons
+        # pinned above hold on the same stage-by-stage path
+        calls, real = [], solvers.splu
+        monkeypatch.setattr(solvers, "splu",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        spec, u, stages = _saddle(), None, []
+        for k in spec.config.k_schedule:
+            u, stats = solve_pk(spec, k, init=u)
+            stages.append(stats)
+        stops = [s.stop for s in stages]
+        assert stops[:3] == ["update below tolerance"] * 2 + ["rounding floor"]
+        assert stages[2].final_update > solvers._NEWTON_TOL
+        fallbacks = [s.superlu_fallbacks for s in stages]
+        assert stages[-1].k == 64.0 and fallbacks[-1] > 0
+        assert len(calls) == sum(fallbacks)
+        assert all(s.superlu_fallbacks <= s.factorizations for s in stages)
+        assert (f"superlu_fallbacks={fallbacks[-1]:<4d} "
+                in SolveReport(per_k=stages[-1:]).format())
 
     @pytest.mark.parametrize("eps", [0.3, -0.3, 0.0])
     def test_weak_residual_small_on_resolved_stages(self, eps):
