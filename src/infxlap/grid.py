@@ -106,6 +106,12 @@ class Grid2D:
         :class:`DomainError` names the first failing node (row-major)."""
         return np.array(evaluate(expr, *self.meshgrid()))
 
+    @cached_property
+    def interior_pattern(self):
+        """:class:`infxlap.solvers._InteriorPattern`, kept with the grid."""
+        from .solvers import _InteriorPattern
+        return _InteriorPattern(self)
+
 
 def build_grid(xmin, xmax, ymin, ymax, nx, ny) -> Grid2D:
     return Grid2D(float(xmin), float(xmax), float(ymin), float(ymax), int(nx), int(ny))
@@ -150,6 +156,12 @@ class FrameField:
         """:func:`infxlap.operators._jacobian_blocks`, kept with the frame."""
         from .operators import _jacobian_blocks
         return _jacobian_blocks(self)
+
+    @cached_property
+    def gauss_metric(self):
+        """:func:`infxlap.solvers._frame_tensor`, kept with the frame."""
+        from .solvers import _frame_tensor
+        return _frame_tensor(self)
 
 
 def make_frame(grid: Grid2D, a: np.ndarray) -> FrameField:

@@ -95,6 +95,13 @@ class ProblemSpec:
     config: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        if self.grid != self.frame.grid:
+            raise ValueError(f"grid {self.grid} is not the frame's grid "
+                             f"{self.frame.grid}")
+        for name, value in (("p", self.p), ("f", self.f)):
+            if np.shape(value) != self.grid.shape:
+                raise ValueError(f"{name} has shape {np.shape(value)}, not "
+                                 f"the grid's {self.grid.shape}")
         if np.any(self.p < _P_MIN):
             raise ValueError(f"exponent below p_min={_P_MIN:g} "
                              f"(min sampled p = {np.min(self.p):g})")
@@ -195,16 +202,11 @@ def _interp_gp(nodal: np.ndarray, gidx: np.ndarray) -> np.ndarray:
     return vals @ _SHAPE.T if vals.ndim == 2 else _SHAPE @ vals
 
 
-def _frame_metric_pack(frame: FrameField) -> np.ndarray:
-    """Nodal A^t A packed as (T11, T12, T22), shape (ny, nx, 3)."""
-    ata = np.swapaxes(frame.a, -1, -2) @ frame.a
-    return ata[..., [0, 0, 1], [0, 1, 1]]
-
-
 def _frame_tensor(frame: FrameField) -> tuple[np.ndarray, ...]:
     """A^t A at the Gauss points: contiguous T11, T12, T22, each (ncell, 4)."""
-    t = _interp_gp(_frame_metric_pack(frame),
-                   _interior_pattern(frame.grid).gidx)
+    ata = np.swapaxes(frame.a, -1, -2) @ frame.a
+    t = _interp_gp(ata[..., [0, 0, 1], [0, 1, 1]],
+                   frame.grid.interior_pattern.gidx)
     return tuple(np.ascontiguousarray(t[..., c]) for c in range(3))
 
 
@@ -241,7 +243,8 @@ class _InteriorPattern:
     Column n holds the interior nodes that share a cell with node n, rows
     ascending.  ``indptr``, ``indices`` and the slot of each element-matrix
     entry (``nnz`` if it touches the boundary) depend on the grid alone, as
-    does the band-storage slot of each lower-triangle entry.
+    does the band-storage slot of each lower-triangle entry.  Each grid
+    owns its pattern, built on first use as ``grid.interior_pattern``.
     """
 
     def __init__(self, grid: Grid2D):
@@ -331,12 +334,6 @@ class _InteriorPattern:
                     options=dict(SymmetricMode=True)).solve, s
 
 
-@functools.lru_cache(maxsize=1)
-def _interior_pattern(grid: Grid2D) -> _InteriorPattern:
-    """The grid's pattern, built once while the same grid is solved on."""
-    return _InteriorPattern(grid)
-
-
 # ---------------------------------------------------------------------------
 # nonlinear outer iteration
 # ---------------------------------------------------------------------------
@@ -367,15 +364,13 @@ class _EnergyModel:
 
     converged = "update below tolerance"     # _newton's stop when solved
 
-    def __init__(self, spec: ProblemSpec, k: float, tq: tuple):
-        """``tq``: :func:`_frame_tensor` of ``spec.frame``, shared by the
-        models of one continuation."""
+    def __init__(self, spec: ProblemSpec, k: float):
         self.k, self.stage = k, f"kp(x)-energy Hessian at k={k:g}"
         self.grid = grid = spec.grid
-        pat = self.pattern = _interior_pattern(grid)
+        pat = self.pattern = grid.interior_pattern
         self.gidx, self.interior = pat.gidx, pat.interior
         self.bx, self.by, self.detj = pat.bx, pat.by, pat.detj
-        self.tq = tq
+        self.tq = spec.frame.gauss_metric
         kp_nodal = k * np.asarray(spec.p, dtype=float)
         kpq = _interp_gp(kp_nodal, self.gidx)
         self.half_kp, self.half_kpm2 = 0.5 * kpq, 0.5 * (kpq - 2.0)
@@ -601,18 +596,19 @@ def _newton(model, state, max_steps: int):
     return state, replace(run, stop=model.converged)
 
 
-def harmonic_extension(grid: Grid2D, frame: FrameField, f: np.ndarray,
-                       tq: tuple | None = None) -> np.ndarray:
+def harmonic_extension(grid: Grid2D, frame: FrameField,
+                       f: np.ndarray) -> np.ndarray:
     """Discrete frame-harmonic extension of the boundary values of f.
 
     The kp = 2 energy is quadratic, so one Newton step from f with its
     interior zeroed (only the boundary of f need be finite) minimizes it.
-    ``tq`` is the frame's :func:`_frame_tensor`, built here if not given.
+    It reads the grid's pattern and the frame's Gauss-point metric.
     """
+    if grid != frame.grid:
+        raise ValueError(f"grid {grid} is not the frame's grid {frame.grid}")
     u = np.where(grid.interior_mask(), 0.0, np.asarray(f, dtype=float))
     model = _EnergyModel(ProblemSpec(grid=grid, frame=frame, f=u,
-                                     p=np.full(grid.shape, 2.0)), 1.0,
-                         _frame_tensor(frame) if tq is None else tq)
+                                     p=np.full(grid.shape, 2.0)), 1.0)
     ev = model.evaluate(u)
     u.ravel()[model.interior] += _factor(model, ev)(model.residual(ev), ev)
     return u
@@ -629,21 +625,21 @@ def continue_k(spec: ProblemSpec,
     k1, Newton starts from the prediction u1 + c (u1 - u0), c = (1/k -
     1/k1) / (1/k1 - 1/k0), linear in 1/k and 0.5 on a doubling schedule,
     if its k-energy is below u1's at one normalization, and from u1
-    otherwise.  The harmonic start and every k share one frame tensor at
-    the Gauss points.  The continuation stops once successive minimizers
-    differ by less than ``_CONTINUATION_TOL``.  With eps != 0 it solves
-    the Jensen auxiliary equation: eps > 0 targets the min form, eps < 0
-    the max form.  A Newton failure propagates, tagged with its k.
+    otherwise.  Every k reads the grid's interior pattern and the frame's
+    Gauss-point metric, which their owners build on first use and keep.
+    The continuation stops once successive minimizers differ by less than
+    ``_CONTINUATION_TOL``.  With eps != 0 it solves the Jensen auxiliary
+    equation: eps > 0 targets the min form, eps < 0 the max form.  A
+    Newton failure propagates, tagged with its k.
     """
     if not spec.config.k_schedule:
         raise ValueError("empty k schedule")
     t0 = time.perf_counter()
-    tq = _frame_tensor(spec.frame)
     u = (np.asarray(init, dtype=float) if init is not None
-         else harmonic_extension(spec.grid, spec.frame, spec.f, tq))
+         else harmonic_extension(spec.grid, spec.frame, spec.f))
     report, path = SolveReport(), []    # path: last two (k, u_k)
     for k in spec.config.k_schedule:
-        model, predicted = _EnergyModel(spec, k, tq), None
+        model, predicted = _EnergyModel(spec, k), None
         if len(path) == 2:
             (k0, u0), (k1, u1) = path
             c = (1.0 / k - 1.0 / k1) / (1.0 / k1 - 1.0 / k0)

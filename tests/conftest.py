@@ -29,6 +29,20 @@ def graph_builds(monkeypatch):
 
 
 @pytest.fixture
+def tensor_builds(monkeypatch):
+    """The frames whose Gauss-point metric is built while the test runs."""
+    builds = []
+    build = solvers._frame_tensor
+
+    def counting(frame):
+        builds.append(frame)
+        return build(frame)
+
+    monkeypatch.setattr(solvers, "_frame_tensor", counting)
+    return builds
+
+
+@pytest.fixture
 def factor_calls(monkeypatch):
     """The Hessian factorizations made while the test runs, one entry each:
     True on a band pattern, False on a nested-dissection one."""
@@ -46,10 +60,5 @@ def factor_calls(monkeypatch):
 @pytest.fixture
 def band_limit(monkeypatch):
     """``band_limit(m)`` sets the widest short interior side factored as a
-    band for the patterns built after it (-1: none); the cached pattern is
-    dropped then and at the end of the test."""
-    def use(m):
-        monkeypatch.setattr(solvers, "_BAND_MAX", m)
-        solvers._interior_pattern.cache_clear()
-    yield use
-    solvers._interior_pattern.cache_clear()
+    band (-1: none) for the grids whose pattern is built after it."""
+    return lambda m: monkeypatch.setattr(solvers, "_BAND_MAX", m)

@@ -132,6 +132,27 @@ class TestConfigLoading:
         with pytest.raises(cfgio.ConfigError, match=named):
             cfgio.load_problem(write_config(tmp_path, f=f, extra=extra))
 
+    @pytest.mark.parametrize("line, bad, named", [
+        ("nx = 9", "nx = 3", r"^bad domain: need nx, ny >= 4"),
+        ("xmax = 1.0", "xmax = one", r"^bad domain: could not convert"),
+        ("ymax = 1.0", "ymax = 0.0", r"^bad domain: nonpositive"),
+    ], ids=["small", "text", "empty"])
+    def test_bad_domain_named(self, tmp_path, line, bad, named):
+        path = Path(write_config(tmp_path))
+        path.write_text(path.read_text().replace(line, bad))
+        with pytest.raises(cfgio.ConfigError, match=named):
+            cfgio.load_problem(path)
+
+    @pytest.mark.parametrize("extra, named", [
+        ("\n[solver]\nk_schedule = 2, four\n", "solver.k_schedule"),
+        ("\n[solver]\npolish_sweeps = 2.5\n", "solver.polish_sweeps"),
+        ("\n[jensen]\nepsilon = small\n", "jensen.epsilon"),
+    ], ids=["k_schedule", "polish_sweeps", "epsilon"])
+    def test_unparsable_value_named(self, tmp_path, extra, named):
+        with pytest.raises(cfgio.ConfigError,
+                           match=rf"^bad value for {named}: "):
+            cfgio.load_problem(write_config(tmp_path, extra=extra))
+
     def test_negative_polish_cap_named(self, tmp_path):
         extra = "\n[solver]\npolish_sweeps = -3\n"
         with pytest.raises(cfgio.ConfigError, match="solver.polish_sweeps"):
@@ -392,6 +413,15 @@ class TestCliVerify:
     def test_lemma41_passes_on_positive_data(self, tmp_path):
         cfg = write_config(tmp_path, f="1 + x/4 + y/4")
         assert main(["verify", "--config", cfg, "--suite", "lemma41"]) == 0
+
+    def test_lemma41_inapplicable_on_a_nonpositive_solution(self, tmp_path,
+                                                            capsys):
+        cfg = write_config(tmp_path, f="x - 1/2")
+        assert main(["verify", "--config", cfg, "--suite", "lemma41"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("log-gradient bound: INAPPLICABLE")
+        assert "worst value = -5.000000e-01" in out
+        assert "reason = solution not positive" in out
 
     def test_report_subcommand(self, tmp_path, capsys):
         cfg = write_config(tmp_path, f="x")

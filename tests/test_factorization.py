@@ -14,8 +14,7 @@ from infxlap import solvers
 from infxlap.expressions import parse
 from infxlap.grid import build_grid, sample_frame
 from infxlap.solvers import (ProblemSpec, SolverConfig, _EnergyModel,
-                             _frame_tensor, _InteriorPattern,
-                             _nested_dissection)
+                             _InteriorPattern, _nested_dissection)
 
 
 def varframe_spec(n=17, ny=None):
@@ -110,7 +109,7 @@ def test_each_stage_ends_at_a_resolved_minimizer(n):
     u = solvers.harmonic_extension(spec.grid, spec.frame, spec.f)
     for k in spec.config.k_schedule:
         u, _ = solvers.solve_pk(spec, k, init=u)
-        model = _EnergyModel(spec, k, _frame_tensor(spec.frame))
+        model = _EnergyModel(spec, k)
         ev = model.evaluate(u)
         d = model.factor(ev)(model.residual(ev), ev)
         assert np.max(np.abs(d)) <= solvers._NEWTON_TOL, k
@@ -121,7 +120,7 @@ def test_reused_factors_follow_the_gradient_scale():
     # each iterate; factors reused at another scale must give the same
     # Newton direction
     spec = varframe_spec()
-    model = _EnergyModel(spec, 64.0, _frame_tensor(spec.frame))
+    model = _EnergyModel(spec, 64.0)
     ev = model.evaluate(solvers.harmonic_extension(spec.grid, spec.frame,
                                                    spec.f))
     factors = model.factor(ev)
@@ -137,7 +136,7 @@ def k64_hessian(spec):
     """The k = 64 Newton Hessian at the continuation field: its pattern,
     CSC data and the equilibrated matrix S A S."""
     u, _ = solvers.continue_k(spec)
-    model = _EnergyModel(spec, 64.0, _frame_tensor(spec.frame))
+    model = _EnergyModel(spec, 64.0)
     ev = model.evaluate(u)
     data = model.hessian(ev, ev.log_scale)
     pattern = model.pattern

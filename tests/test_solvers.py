@@ -1,5 +1,8 @@
 """Harmonic extension, Newton iteration, and continuation tests."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,13 +10,12 @@ from infxlap.expressions import parse
 from infxlap.grid import (build_grid, identity_frame, riemannian_gradient,
                           sample_frame)
 from infxlap.operators import max_form_residual
-from infxlap import solvers
+from infxlap import cli, solvers, verify
 from infxlap.solvers import (_DETA, _DXI, FactorizationError, NewtonStall,
                              ProblemSpec, SolveReport, SolverConfig,
-                             SolverError, _EnergyModel, _frame_metric_pack,
-                             _frame_tensor, _interp_gp, _InteriorPattern,
-                             _nested_dissection, continue_k,
-                             _polish_newton, harmonic_extension,
+                             SolverError, _EnergyModel, _interp_gp,
+                             _InteriorPattern, _nested_dissection,
+                             continue_k, _polish_newton, harmonic_extension,
                              solve_dirichlet_infinity, solve_pk)
 
 
@@ -21,9 +23,15 @@ def unit_grid(n=17):
     return build_grid(0.0, 1.0, 0.0, 1.0, n, n)
 
 
+def metric_pack(frame):
+    """Nodal A^t A packed as (T11, T12, T22), shape (ny, nx, 3)."""
+    ata = np.einsum("...ki,...kj->...ij", frame.a, frame.a)
+    return np.stack([ata[..., 0, 0], ata[..., 0, 1], ata[..., 1, 1]], axis=-1)
+
+
 def weighted_elements(pattern, frame, w):
     """Element matrices of u -> -div_X(w D_X u) on the pattern's basis."""
-    kpack = w[..., None] * _frame_metric_pack(frame)
+    kpack = w[..., None] * metric_pack(frame)
     return _interp_gp(kpack, pattern.gidx).reshape(-1, 12) @ pattern.basis
 
 
@@ -46,6 +54,45 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="polish_sweeps"):
             SolverConfig(polish_sweeps=-3)
         SolverConfig(polish_sweeps=0)   # 0 skips the polish
+
+    def test_spec_rejects_a_transposed_frame(self):
+        # a 5x9 frame in a 9x5 problem: the model would read its metric
+        # on cells that are not the grid's
+        g, gt = (build_grid(0.0, 1.0, 0.0, 1.0, nx, ny)
+                 for nx, ny in ((9, 5), (5, 9)))
+        X, Y = g.meshgrid()
+        with pytest.raises(ValueError, match=r"is not the frame's grid "
+                           r"Grid2D\(.*nx=5, ny=9\)"):
+            ProblemSpec(grid=g, frame=identity_frame(gt), p=2.0 + X,
+                        f=X + Y)
+
+    def test_spec_rejects_a_frame_on_another_rectangle(self):
+        # same node counts, but the frame was sampled on [0, 2] x [0, 1]
+        g, wide = unit_grid(9), build_grid(0.0, 2.0, 0.0, 1.0, 9, 9)
+        fr = sample_frame(parse("1"), parse("0"), parse("0"),
+                          parse("1 + x/2"), wide)
+        X, Y = g.meshgrid()
+        with pytest.raises(ValueError, match=r"xmax=1\.0.* is not the "
+                           r"frame's grid .*xmax=2\.0"):
+            ProblemSpec(grid=g, frame=fr, p=2.0 + X, f=X + Y)
+
+    @pytest.mark.parametrize("name", ["p", "f"])
+    def test_spec_rejects_fields_off_the_grid(self, name):
+        g = unit_grid(5)
+        fields = {"p": np.full(g.shape, 2.0), "f": np.zeros(g.shape),
+                  name: np.full((4, 4), 2.0)}
+        with pytest.raises(ValueError, match=rf"^{name} has shape \(4, 4\), "
+                           r"not the grid's \(5, 5\)$"):
+            ProblemSpec(grid=g, frame=identity_frame(g), **fields)
+
+    @pytest.mark.parametrize("on", ["grid", "frame"])
+    def test_harmonic_extension_rejects_another_grid(self, on):
+        # f sampled on either grid: the frame's does not broadcast
+        g, gt = unit_grid(9), build_grid(0.0, 1.0, 0.0, 1.0, 9, 5)
+        f = np.zeros((gt if on == "grid" else g).shape)
+        with pytest.raises(ValueError, match=r"^grid Grid2D\(.*ny=5\) is "
+                           r"not the frame's grid Grid2D\(.*ny=9\)$"):
+            harmonic_extension(gt, identity_frame(g), f)
 
     def test_spec_rejects_small_p(self):
         g = unit_grid(5)
@@ -140,7 +187,7 @@ class TestInteriorPattern:
     def test_element_matrices_match_gauss_sum(self, case):
         g, fr, _, w = case
         pattern = _InteriorPattern(g)
-        cq = _interp_gp(w[..., None] * _frame_metric_pack(fr), pattern.gidx)
+        cq = _interp_gp(w[..., None] * metric_pack(fr), pattern.gidx)
         bx, by = _DXI * (2.0 / g.hx), _DETA * (2.0 / g.hy)
         ref = g.hx * g.hy / 4.0 * (
             np.einsum("cq,qa,qb->cab", cq[..., 0], bx, bx)
@@ -204,7 +251,9 @@ class TestInteriorPattern:
         mat = pattern.matrix(np.ones(pattern.nnz)).tocoo()
         assert np.max(np.abs(mat.row - mat.col)) == pattern.kd
 
-    def test_built_once_per_continuation(self, monkeypatch):
+    def test_built_once_per_grid(self, monkeypatch):
+        # two continuations and a full solve on one grid number its
+        # interior once; another grid, equal or not, builds its own
         builds = []
 
         class Counting(_InteriorPattern):
@@ -213,7 +262,6 @@ class TestInteriorPattern:
                 super().__init__(grid)
 
         monkeypatch.setattr(solvers, "_InteriorPattern", Counting)
-        solvers._interior_pattern.cache_clear()
         g = unit_grid(9)
         X, Y = g.meshgrid()
         spec = ProblemSpec(grid=g, frame=identity_frame(g), p=2.0 + X ** 2,
@@ -221,6 +269,26 @@ class TestInteriorPattern:
         _, report = continue_k(spec)
         assert len(report.per_k) > 1
         assert builds == [g]
+        continue_k(spec)
+        _, report = solve_dirichlet_infinity(spec)
+        assert report.polish is not None
+        assert builds == [g]
+        assert g.interior_pattern is vars(g)["interior_pattern"]
+        other = unit_grid(9)
+        continue_k(ProblemSpec(grid=other, frame=identity_frame(other),
+                               p=spec.p, f=spec.f))
+        assert builds == [g, other] and builds[1] is other
+
+    def test_pattern_freed_with_its_grid(self):
+        # nothing in solvers keeps a grid or its pattern alive once the
+        # problem posed on it is gone
+        spec = _varframe(9)
+        continue_k(spec)
+        refs = [weakref.ref(spec.grid),
+                weakref.ref(spec.grid.interior_pattern)]
+        del spec
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestSolvePk:
@@ -269,7 +337,7 @@ class TestSolvePk:
         start = harmonic_extension(g, fr, f) + 0.05 * bump
         u, _ = solve_pk(spec, k, init=start)
         # the energy Newton minimizes, at one frozen normalization
-        model = _EnergyModel(spec, k, _frame_tensor(spec.frame))
+        model = _EnergyModel(spec, k)
         logs = model.evaluate(u).log_scale
         energy = lambda v: model.energy(model.evaluate(v), logs)  # noqa: E731
         e_sol = energy(u)
@@ -294,23 +362,48 @@ class TestSolvePk:
         assert exc.value.run.iterations >= 1
         assert exc.value.run.stop == exc.value.reason == "step cap"
 
+    def test_line_search_failure_named(self, monkeypatch):
+        # a merit that no trial step lowers: 60 halvings, then a stall with
+        # the start as its last iterate
+        spec, real = _varframe(9), _EnergyModel.merit
+        monkeypatch.setattr(_EnergyModel, "merit", lambda model, ev, ref: (
+            real(model, ev, ref) if ev is ref else np.inf))
+        warm = harmonic_extension(spec.grid, spec.frame, spec.f)
+        with pytest.raises(NewtonStall) as exc:
+            continue_k(spec)
+        assert exc.value.k == spec.config.k_schedule[0]
+        assert exc.value.reason == exc.value.run.stop == "line search failed"
+        assert "stopped after 0 steps: line search failed" in str(exc.value)
+        assert exc.value.run.history == []
+        assert exc.value.run.factorizations == 1
+        assert np.array_equal(exc.value.u, warm)
+
+    @staticmethod
+    def _bowls(band_limit):
+        """The 9^2 bowl and its harmonic start, on a grid whose pattern is
+        built under each band limit: nested dissection, then the band."""
+        out = []
+        for limit in (-1, solvers._BAND_MAX):
+            band_limit(limit)
+            g = unit_grid(9)
+            X, Y = g.meshgrid()
+            spec = ProblemSpec(grid=g, frame=identity_frame(g),
+                               p=np.full(g.shape, 2.0), f=(X ** 2 + Y ** 2))
+            out.append((spec, harmonic_extension(g, spec.frame, spec.f)))
+            assert (g.interior_pattern.kd is None) == (limit < 0)
+        return out
+
     def test_factorization_failure_named(self, monkeypatch, band_limit):
         # both factorizations: SuperLU on nested dissection fails; the band
         # Cholesky breaks down, and SuperLU fails on the same matrix
-        g = unit_grid(9)
-        fr = identity_frame(g)
-        X, Y = g.meshgrid()
-        spec = ProblemSpec(grid=g, frame=fr, p=np.full(g.shape, 2.0),
-                           f=(X ** 2 + Y ** 2))
-        warm = harmonic_extension(g, fr, spec.f)
+        bowls = self._bowls(band_limit)
 
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(solvers, "splu", singular)
         monkeypatch.setattr(solvers, "dpbtrf", lambda ab, **kw: (ab, 3))
-        for limit, fallbacks in ((-1, 0), (solvers._BAND_MAX, 1)):
-            band_limit(limit)
+        for (spec, warm), fallbacks in zip(bowls, (0, 1)):
             with pytest.raises(FactorizationError) as exc:
                 solve_pk(spec, 8.0, init=warm)
             assert isinstance(exc.value, SolverError)
@@ -321,19 +414,14 @@ class TestSolvePk:
             assert "exactly singular" in str(exc.value)
         # the harmonic start has no run to count a fallback in
         with pytest.raises(FactorizationError) as exc:
-            harmonic_extension(g, fr, spec.f)
+            harmonic_extension(spec.grid, spec.frame, spec.f)
         assert "non-positive pivot at 3" in str(exc.value)
 
     def test_ascent_direction_named(self, monkeypatch, band_limit):
         # factors whose solves come back negated give ascent directions:
         # Newton stops and says so instead of falling back to steepest
         # descent, with either factorization
-        g = unit_grid(9)
-        fr = identity_frame(g)
-        X, Y = g.meshgrid()
-        spec = ProblemSpec(grid=g, frame=fr, p=np.full(g.shape, 2.0),
-                           f=(X ** 2 + Y ** 2))
-        warm = harmonic_extension(g, fr, spec.f)
+        bowls = self._bowls(band_limit)
         real, real_band = solvers.splu, solvers.dpbtrs
 
         class Negated:
@@ -347,8 +435,7 @@ class TestSolvePk:
                             lambda *a, **kw: Negated(real(*a, **kw)))
         monkeypatch.setattr(solvers, "dpbtrs", lambda *a, **kw: (
             -real_band(*a, **kw)[0], 0))
-        for limit in (-1, solvers._BAND_MAX):
-            band_limit(limit)
+        for spec, warm in bowls:
             with pytest.raises(NewtonStall) as exc:
                 continue_k(spec, init=warm)
             assert exc.value.k == spec.config.k_schedule[0]
@@ -743,26 +830,40 @@ class TestPredictorCorrector:
         lines = report.format().splitlines()
         assert "start=warm" in next(ln for ln in lines if "k=32 " in ln)
 
-    def test_frame_tensor_built_once_per_continuation(self, monkeypatch):
+    def test_frame_tensor_built_once_per_frame(self, tensor_builds):
+        # the harmonic start, a continuation from it, three uniqueness
+        # solves and the CLI's comparison pair (whose raised spec keeps
+        # the frame) build the frame's tensor once
         spec = _varframe(17)
         warm = harmonic_extension(spec.grid, spec.frame, spec.f)
-        calls, real = [], solvers._frame_metric_pack
-        monkeypatch.setattr(solvers, "_frame_metric_pack",
-                            lambda frame: calls.append(frame) or real(frame))
         _, report = continue_k(spec, init=warm)
         assert len(report.per_k) > 1
-        assert calls == [spec.frame]
+        assert tensor_builds == [spec.frame]
+        assert verify.uniqueness_probe(spec).passed
+        assert cli._verify_comparison(spec).passed
+        assert tensor_builds == [spec.frame]
+        assert spec.frame.gauss_metric is vars(spec.frame)["gauss_metric"]
+        other = _varframe(17)
+        harmonic_extension(other.grid, other.frame, other.f)
+        assert tensor_builds == [spec.frame, other.frame]
 
-    def test_harmonic_start_shares_the_frame_tensor(self, monkeypatch):
+    def test_harmonic_start_shares_the_frame_tensor(self, tensor_builds):
         spec = _varframe(17)
-        warm = harmonic_extension(spec.grid, spec.frame, spec.f)
-        calls, real = [], solvers._frame_metric_pack
-        monkeypatch.setattr(solvers, "_frame_metric_pack",
-                            lambda frame: calls.append(frame) or real(frame))
         u, report = continue_k(spec)
         assert len(report.per_k) > 1
-        assert calls == [spec.frame]
+        assert tensor_builds == [spec.frame]
+        warm = harmonic_extension(spec.grid, spec.frame, spec.f)
         assert np.array_equal(u, continue_k(spec, init=warm)[0])
+        assert tensor_builds == [spec.frame]
+
+    def test_frame_tensor_freed_with_its_frame(self):
+        spec = _varframe(9)
+        continue_k(spec)
+        refs = [weakref.ref(spec.frame),
+                *map(weakref.ref, spec.frame.gauss_metric)]
+        del spec
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4
 
 
 class TestStopReasons:

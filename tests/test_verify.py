@@ -253,6 +253,12 @@ class TestHarnack:
         with pytest.raises(ValueError):
             harnack_constant(u, g, d, 0.2)
 
+    @pytest.mark.parametrize("r", [0.0, -0.1])
+    def test_radius_must_be_positive(self, r):
+        g = unit_grid(17)
+        with pytest.raises(ValueError, match=r"^need r > 0$"):
+            harnack_constant(np.ones(g.shape), g, self._center_dist(g), r)
+
 
 class TestTentCutoff:
     def test_support_and_peak(self):
@@ -294,6 +300,14 @@ class TestLogGradientBound:
         with pytest.raises(ValueError):
             check_log_gradient_bound(u, make_tent_cutoff(g),
                                      np.full(g.shape, 2.0), fr)
+
+    def test_negative_cutoff_rejected(self):
+        g = unit_grid(9)
+        zeta = make_tent_cutoff(g)
+        zeta[4, 4] = -0.5
+        with pytest.raises(ValueError, match="^cutoff must be nonnegative$"):
+            check_log_gradient_bound(np.ones(g.shape), zeta,
+                                     np.full(g.shape, 2.0), identity_frame(g))
 
 
 class TestUniqueness:
