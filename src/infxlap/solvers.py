@@ -22,7 +22,7 @@ kernels beat SuperLU's per-column work.  On wider grids SuperLU factors it
 in nested-dissection order, whose fill grows more slowly (George & Liu,
 *Computer Solution of Large Sparse Positive Definite Systems*, 1981, chs. 4
 and 8).  SuperLU factors the Jacobian in minimum degree.  Later steps reuse
-the factors (chord steps) or precondition CG or GMRES with them.
+the factors (chord steps) or, off the band, precondition GMRES with them.
 """
 
 from __future__ import annotations
@@ -79,6 +79,10 @@ class SolverConfig:
     def __post_init__(self):
         if not all(b > a for a, b in zip(self.k_schedule, self.k_schedule[1:])):
             raise ValueError("k_schedule must be strictly increasing")
+        # k >= 1 keeps kp >= p >= _P_MIN, as operators.ExponentData asks
+        if not all(1.0 <= k < math.inf for k in self.k_schedule):
+            raise ValueError(f"k_schedule must hold finite k >= 1, not "
+                             f"{', '.join(map(str, self.k_schedule))}")
         if self.polish_sweeps < 0:
             raise ValueError("polish_sweeps must be >= 0 (0 skips the polish)")
 
@@ -98,6 +102,7 @@ class ProblemSpec:
         if self.grid != self.frame.grid:
             raise ValueError(f"grid {self.grid} is not the frame's grid "
                              f"{self.frame.grid}")
+        self.grid = self.frame.grid     # one grid object, one pattern
         for name, value in (("p", self.p), ("f", self.f)):
             if np.shape(value) != self.grid.shape:
                 raise ValueError(f"{name} has shape {np.shape(value)}, not "
@@ -478,18 +483,10 @@ class _EnergyModel:
     def solved(self, ev: _GaussValues, update: float) -> bool:
         return update < _NEWTON_TOL
 
-    def krylov(self, ev: _GaussValues, b, x, pre):
-        """Preconditioned CG on the SPD Hessian at ev from x = pre(b): x,
-        whether sup|pre(b - Hx)| <= forcing sup|pre(b)| by the cap, steps."""
-        op = self.pattern.matrix(self.hessian(ev, ev.log_scale))
-        z = p = pre(r := b - op @ x)
-        rz, tol = r @ z, _KRYLOV_FORCING * np.max(np.abs(x))
-        for i in range(_KRYLOV_MAX_ITER + 1):
-            if np.max(np.abs(z)) <= tol or i == _KRYLOV_MAX_ITER:
-                return x, bool(np.max(np.abs(z)) <= tol), i
-            a = rz / (p @ (q := op @ p))
-            x, z = x + a * p, pre(r := r - a * q)
-            p, rz = z + (r @ z / rz) * p, r @ z
+    def operator(self, ev: _GaussValues):
+        """The Hessian at ev; None on a band, where refactoring is cheaper."""
+        return (self.pattern.matrix(self.hessian(ev, ev.log_scale))
+                if self.pattern.kd is None else None)
 
     def factor(self, ev: _GaussValues, run: NewtonRun | None = None):
         """Direction solver from the factors of the equilibrated Hessian at
@@ -507,7 +504,7 @@ _NEWTON_TOL = 1e-8        # sup-norm update that ends a k stage
 _CONTINUATION_TOL = 1e-4  # sup-norm gap between successive k that ends it
 _POLISH_TOL = 1e-9        # interior residual sup-norm that ends the polish
 _CHORD_CONTRACTION = 0.1  # largest chord step over the last update
-_KRYLOV_FORCING = 1e-4    # preconditioned linear residual over pre(-g)
+_KRYLOV_FORCING = 1e-4    # ||pre(linear residual)||_2 over ||pre(-g)||_2
 _KRYLOV_MAX_ITER = 10     # Krylov iterations before the stage refactors
 _NEWTON_MAX_ITER = 500
 
@@ -522,6 +519,19 @@ def _factor(model, state, run: NewtonRun | None = None):
                                  state.u, run or NewtonRun()) from exc
 
 
+def _krylov(op, b, x, pre):
+    """One GMRES cycle (Saad-Schultz, SIAM J. Sci. Stat. Comput. 7 (1986)
+    856-869) on op d = b from x = pre(b), preconditioned by pre: d, whether
+    ||pre(b - op d)||_2 <= forcing ||pre(b)||_2 by the cap, steps."""
+    steps, scale = [], np.linalg.norm(x)
+    x, info = gmres(op, b, x, rtol=_KRYLOV_FORCING, maxiter=1,
+                    restart=_KRYLOV_MAX_ITER, callback=steps.append,
+                    M=LinearOperator(op.shape, pre, dtype=float),
+                    callback_type="pr_norm")
+    return x, info == 0 or steps[-1] * np.linalg.norm(b) <= (
+        _KRYLOV_FORCING * scale), len(steps)
+
+
 def _newton(model, state, max_steps: int):
     """Newton with an Armijo line search on ``model``'s merit, from ``state``.
 
@@ -532,13 +542,14 @@ def _newton(model, state, max_steps: int):
     Equations with Newton's Method*, SIAM 2003, ch. 5.4) if it descends and
     is at most ``_CHORD_CONTRACTION`` times the last update; else, and off
     the floor for all their later directions, they precondition
-    ``model.krylov`` at the iterate from their direction if that is at most
-    the last update (inexact Newton, Eisenstat-Walker, SIAM J. Sci. Comput.
-    17 (1996) 16-32).  It refactors otherwise, where the Krylov direction
-    does not descend above rounding, and after a step that missed the
-    forcing term (which ends no stage).  Returns (state, :class:`NewtonRun`),
-    stopped at ``model.converged`` once ``model.solved(state, last
-    update)``, else at "rounding floor"; a stall carries the run so far.
+    :func:`_krylov` on ``model.operator(state)`` from their direction if
+    that is at most the last update (inexact Newton, Eisenstat-Walker, SIAM
+    J. Sci. Comput. 17 (1996) 16-32).  It refactors otherwise, also where
+    the operator is None or the Krylov direction does not descend above
+    rounding, and after a step that missed the forcing term (which ends no
+    stage).  Returns (state, :class:`NewtonRun`), stopped at
+    ``model.converged`` once ``model.solved(state, last update)``, else at
+    "rounding floor"; a stall carries the run so far.
     """
     run, factors, full = NewtonRun(), None, False
     stale, update, history = False, math.inf, run.history
@@ -556,11 +567,11 @@ def _newton(model, state, max_steps: int):
             if slope < 0.0 and (not stale or -slope <= rounding) and (
                     size <= _CHORD_CONTRACTION * history[-1]):
                 run.chord_steps += 1
-            elif size > history[-1]:    # out of Newton's local regime
-                d = None
+            elif size > history[-1] or (op := model.operator(state)) is None:
+                d = None    # out of Newton's local regime, or no operator
             else:
-                d, met, its = model.krylov(state, -g, d,
-                                           lambda r: -factors(r, state))
+                d, met, its = _krylov(op, -g, d, lambda r: -factors(r, state))
+                del op      # not alive through a later factorization
                 run.krylov_solves += 1
                 run.krylov_iterations += its
                 d, stale = (d if -model.slope(g, d) > rounding else None), True
@@ -699,15 +710,8 @@ class _PolishModel:
     def solved(self, state: State, update: float) -> bool:
         return float(np.max(np.abs(state.r))) < _POLISH_TOL
 
-    def krylov(self, state: State, b, x, pre):
-        """As ``_EnergyModel.krylov``; one GMRES cycle, 2-norm."""
-        op, steps, scale = self.kernel.jacobian(state.u), [], np.linalg.norm(x)
-        x, info = gmres(op, b, x, rtol=_KRYLOV_FORCING, maxiter=1,
-                        restart=_KRYLOV_MAX_ITER, callback=steps.append,
-                        M=LinearOperator(op.shape, pre, dtype=float),
-                        callback_type="pr_norm")
-        return x, info == 0 or steps[-1] * np.linalg.norm(b) <= (
-            _KRYLOV_FORCING * scale), len(steps)
+    def operator(self, state: State):
+        return self.kernel.jacobian(state.u)
 
     def factor(self, state: State, run: NewtonRun | None = None):
         # a minimum-degree order on J + J^t with a weak pivot threshold

@@ -43,6 +43,20 @@ def tensor_builds(monkeypatch):
 
 
 @pytest.fixture
+def pattern_builds(monkeypatch):
+    """The grids whose interior pattern is built while the test runs."""
+    builds = []
+
+    class Counting(solvers._InteriorPattern):
+        def __init__(self, grid):
+            builds.append(grid)
+            super().__init__(grid)
+
+    monkeypatch.setattr(solvers, "_InteriorPattern", Counting)
+    return builds
+
+
+@pytest.fixture
 def factor_calls(monkeypatch):
     """The Hessian factorizations made while the test runs, one entry each:
     True on a band pattern, False on a nested-dissection one."""

@@ -153,6 +153,22 @@ class TestConfigLoading:
                            match=rf"^bad value for {named}: "):
             cfgio.load_problem(write_config(tmp_path, extra=extra))
 
+    @pytest.mark.parametrize("schedule", ["0", "-2, 2", "nan", "inf",
+                                          "1, 1e400", "0.5, 1"])
+    def test_k_schedule_outside_the_energy_named(self, tmp_path, capsys,
+                                                 schedule):
+        # kp must stay finite and at least p: the solve would otherwise
+        # fail later, as "no descent direction", or run at kp below p
+        path = write_config(tmp_path,
+                            extra=f"\n[solver]\nk_schedule = {schedule}\n")
+        with pytest.raises(cfgio.ConfigError,
+                           match=r"^bad solver config: solver\.k_schedule "):
+            cfgio.load_problem(path)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", path, "--out", str(tmp_path / "u.csv")])
+        assert exc.value.code == 2
+        assert "solver.k_schedule" in capsys.readouterr().err
+
     def test_negative_polish_cap_named(self, tmp_path):
         extra = "\n[solver]\npolish_sweeps = -3\n"
         with pytest.raises(cfgio.ConfigError, match="solver.polish_sweeps"):

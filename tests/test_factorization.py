@@ -2,8 +2,9 @@
 has at most ``solvers._BAND_MAX`` nodes is factored by LAPACK's band
 Cholesky, a wider one through ``solvers.splu`` in the pattern's own
 nested-dissection order, and the two give the same solves.  A
-continuation reuses factors while its steps contract and still ends each
-k at a resolved minimizer, nested dissection fills no more than SuperLU's
+continuation reuses factors while its steps contract, preconditions
+Krylov solves with them only off the band, and still ends each k at a
+resolved minimizer, nested dissection fills no more than SuperLU's
 minimum degree, and symmetric mode agrees with partial pivoting."""
 
 import numpy as np
@@ -64,17 +65,29 @@ def test_every_factorization_is_counted(splu_calls, factor_calls):
     assert splu_calls == []
 
 
-def test_continuation_reuses_factorizations(factor_calls):
+def test_continuation_reuses_factorizations(factor_calls, band_limit):
+    band_limit(-1)
     _, report = solvers.continue_k(varframe_spec())
     newton = sum(s.iterations for s in report.per_k)
-    # 8 with the harmonic start: one per k, and one more at k = 64, where a
-    # Krylov solve on the stale factors hits its cap; 11 when a failed
-    # chord step refactored, 13 with warm starts alone, 26 with one per
-    # Newton step
+    # in nested dissection, 7 with the harmonic start: one per k, and one
+    # more at k = 64, where a Krylov solve on the stale factors misses its
+    # forcing term; 11 when a failed chord step refactored, 13 with warm
+    # starts alone, 26 with one per Newton step
     assert len(factor_calls) == 1 + sum(s.factorizations
                                         for s in report.per_k)
     assert len(factor_calls) < newton
     assert 0 < len(factor_calls) <= 8
+
+
+@pytest.mark.parametrize("n", [17, 49])
+def test_band_grids_refactor_where_a_chord_step_fails(n, factor_calls):
+    # a band factorization costs less than the Krylov solve it would save,
+    # so a band grid refactors wherever a chord step fails
+    _, report = solvers.continue_k(varframe_spec(n))
+    assert [s.factorizations for s in report.per_k] == [1, 2, 1, 1, 2, 3]
+    assert [s.krylov_solves for s in report.per_k] == [0] * 6
+    assert factor_calls == [True] * 11
+    assert {s.stop for s in report.per_k} == {_EnergyModel.converged}
 
 
 def test_report_prints_factorizations():
@@ -84,9 +97,11 @@ def test_report_prints_factorizations():
                 f"factorizations={s.factorizations:<4d} ") in line
 
 
-def test_krylov_solves_replace_refactorizations():
-    # at 49^2 every k factors its Hessian once: where a chord step fails,
-    # conjugate gradients preconditioned by the stale factors take its place
+def test_krylov_solves_replace_refactorizations(band_limit):
+    # at 49^2 in nested dissection every k factors its Hessian once: where a
+    # chord step fails, GMRES preconditioned by the stale factors takes its
+    # place
+    band_limit(-1)
     _, report = solvers.continue_k(varframe_spec(49))
     assert [s.factorizations for s in report.per_k] == [1] * 6
     assert sum(s.krylov_solves for s in report.per_k) >= 4

@@ -251,17 +251,10 @@ class TestInteriorPattern:
         mat = pattern.matrix(np.ones(pattern.nnz)).tocoo()
         assert np.max(np.abs(mat.row - mat.col)) == pattern.kd
 
-    def test_built_once_per_grid(self, monkeypatch):
+    def test_built_once_per_grid(self, pattern_builds):
         # two continuations and a full solve on one grid number its
         # interior once; another grid, equal or not, builds its own
-        builds = []
-
-        class Counting(_InteriorPattern):
-            def __init__(self, grid):
-                builds.append(grid)
-                super().__init__(grid)
-
-        monkeypatch.setattr(solvers, "_InteriorPattern", Counting)
+        builds = pattern_builds
         g = unit_grid(9)
         X, Y = g.meshgrid()
         spec = ProblemSpec(grid=g, frame=identity_frame(g), p=2.0 + X ** 2,
@@ -278,6 +271,18 @@ class TestInteriorPattern:
         continue_k(ProblemSpec(grid=other, frame=identity_frame(other),
                                p=spec.p, f=spec.f))
         assert builds == [g, other] and builds[1] is other
+
+    def test_built_once_for_a_frame_on_an_equal_grid(self, pattern_builds):
+        # a frame sampled on an equal but distinct grid: the spec keeps the
+        # frame's grid, so the energy and the frame's Gauss-point metric
+        # read one pattern
+        g, twin = unit_grid(9), unit_grid(9)
+        X, Y = g.meshgrid()
+        spec = ProblemSpec(grid=g, frame=identity_frame(twin), p=2.0 + X,
+                           f=X + Y ** 2)
+        assert spec.grid is twin
+        continue_k(spec)
+        assert len(pattern_builds) == 1 and pattern_builds[0] is twin
 
     def test_pattern_freed_with_its_grid(self):
         # nothing in solvers keeps a grid or its pattern alive once the
@@ -661,8 +666,8 @@ class TestPolish:
     def test_gmres_saves_jacobian_factorizations(self, monkeypatch):
         # at 65^2 the polish's chord steps fail where it factored its
         # Jacobian anew (3 factorizations); GMRES preconditioned by the
-        # stale factors reaches the same discrete zero from one.  A Krylov
-        # solve that gives no direction brings the refactoring back.  Both
+        # stale factors reaches the same discrete zero from one.  A model
+        # that gives no operator to solve brings the refactoring back.  Both
         # run to a 1e-11 residual, so the comparison is of the zero, not
         # of where each run stops
         spec = _varframe(65)
@@ -670,8 +675,8 @@ class TestPolish:
         monkeypatch.setattr(solvers, "_POLISH_TOL", 1e-11)
         krylov = SolveReport()
         u = _polish_newton(u0, spec.frame, spec.p, 20, krylov)
-        monkeypatch.setattr(solvers._PolishModel, "krylov",
-                            lambda *args: (None, False, 0))
+        monkeypatch.setattr(solvers._PolishModel, "operator",
+                            lambda *args: None)
         refactor = SolveReport()
         v = _polish_newton(u0, spec.frame, spec.p, 20, refactor)
         assert krylov.polish_accepted and refactor.polish_accepted
@@ -685,6 +690,32 @@ class TestPolish:
                 f"krylov_solves={run.krylov_solves:<4d} "
                 f"krylov_iterations={run.krylov_iterations:<4d} "
                 in krylov.format())
+
+    def test_operator_freed_before_refactoring(self, monkeypatch):
+        # with one Krylov iteration allowed a solve misses its forcing
+        # term, and the next step refactors; the Jacobian it solved with
+        # must be freed by then, or two are alive at once
+        monkeypatch.setattr(solvers, "_KRYLOV_MAX_ITER", 1)
+        ops, alive = [], []
+        operator = solvers._PolishModel.operator
+        factor = solvers._PolishModel.factor
+
+        def recording(model, state):
+            ops.append(weakref.ref(op := operator(model, state)))
+            return op
+
+        def counting(model, state, run=None):
+            alive.append(sum(ref() is not None for ref in ops))
+            return factor(model, state, run)
+
+        monkeypatch.setattr(solvers._PolishModel, "operator", recording)
+        monkeypatch.setattr(solvers._PolishModel, "factor", counting)
+        spec = _varframe(33)
+        report = SolveReport()
+        _polish_newton(continue_k(spec)[0], spec.frame, spec.p, 20, report)
+        assert report.polish.krylov_solves > 0
+        assert report.polish.factorizations > 1
+        assert alive == [0] * report.polish.factorizations
 
     def test_start_independent(self):
         # Newton from the harmonic extension alone and from the
