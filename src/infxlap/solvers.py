@@ -15,14 +15,15 @@ coefficients interpolated from the nodes), once per iterate.  Its Hessian
 is symmetric positive definite, reproduces linear fields exactly, and (for
 the unit frame at kp = 2) annihilates the harmonic polynomial x^2 - y^2
 exactly.  One Newton routine runs both stages, the continuation and the
-polish.  The Hessian's equilibrated interior block is factored by LAPACK's
-band Cholesky where the grid's short interior side has at most
-``_BAND_MAX`` nodes, numbered along that side; there the band's dense
-kernels beat SuperLU's per-column work.  On wider grids SuperLU factors it
-in nested-dissection order, whose fill grows more slowly (George & Liu,
-*Computer Solution of Large Sparse Positive Definite Systems*, 1981, chs. 4
-and 8).  SuperLU factors the Jacobian in minimum degree.  Later steps reuse
-the factors (chord steps) or, off the band, precondition GMRES with them.
+polish; from k = 8 an accepted polish ends the schedule.  The Hessian's
+equilibrated interior block is factored by LAPACK's band Cholesky where
+the grid's short interior side has at most ``_BAND_MAX`` nodes, numbered
+along that side; there the band's dense kernels beat SuperLU's per-column
+work.  On wider grids SuperLU factors it in nested-dissection order, whose
+fill grows more slowly (George & Liu, *Computer Solution of Large Sparse
+Positive Definite Systems*, 1981, chs. 4 and 8).  SuperLU factors the
+Jacobian in minimum degree.  Later steps reuse the factors (chord steps)
+or, off the band, precondition GMRES with them.
 """
 
 from __future__ import annotations
@@ -155,7 +156,8 @@ class SolveReport:
     per_k: list[PkStats] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)
     wall_time: float = 0.0
-    polish: NewtonRun | None = None     # None when no polish ran
+    tries: list[tuple[float, NewtonRun]] = field(default_factory=list)
+    polish: NewtonRun | None = None     # the deciding try; None if none ran
     polish_initial: float | None = None
     polish_final: float | None = None
     polish_worst: tuple[int, int] | None = None   # (i, j) of the last iterate
@@ -172,10 +174,13 @@ class SolveReport:
                          f"start={s.start} stop={s.stop}")
         for a, b, gap in zip(self.per_k, self.per_k[1:], self.gaps):
             lines.append(f"  gap |u_{b.k:g} - u_{a.k:g}|_sup = {gap:.3e}")
+        lines += [f"  polish from k={k:g}: {r.format_counts()}: {r.stop} "
+                  "(rejected)" for k, r in self.tries[:-1]]     # early tries
         if self.polish is not None:
             i, j = self.polish_worst
+            at = f" from k={self.tries[-1][0]:g}" if self.tries else ""
             lines.append(
-                f"  polish: residual sup {self.polish_initial:.3e} -> "
+                f"  polish{at}: residual sup {self.polish_initial:.3e} -> "
                 f"{self.polish_final:.3e} {self.polish.format_counts()} "
                 f"worst node (i={i}, j={j}): {self.polish.stop} "
                 f"({'accepted' if self.polish_accepted else 'rejected'})")
@@ -503,6 +508,7 @@ class _EnergyModel:
 _NEWTON_TOL = 1e-8        # sup-norm update that ends a k stage
 _CONTINUATION_TOL = 1e-4  # sup-norm gap between successive k that ends it
 _POLISH_TOL = 1e-9        # interior residual sup-norm that ends the polish
+_POLISH_FROM_K = 8.0      # smallest k whose minimizer the polish tries
 _CHORD_CONTRACTION = 0.1  # largest chord step over the last update
 _KRYLOV_FORCING = 1e-4    # ||pre(linear residual)||_2 over ||pre(-g)||_2
 _KRYLOV_MAX_ITER = 10     # Krylov iterations before the stage refactors
@@ -625,8 +631,8 @@ def harmonic_extension(grid: Grid2D, frame: FrameField,
     return u
 
 
-def continue_k(spec: ProblemSpec,
-               init: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
+def continue_k(spec: ProblemSpec, init: np.ndarray | None = None, *,
+               stop=None) -> tuple[np.ndarray, SolveReport]:
     """Predictor-corrector continuation along the k schedule.
 
     Each k runs :func:`_newton` on the convex regularized kp(x) energy
@@ -636,12 +642,11 @@ def continue_k(spec: ProblemSpec,
     k1, Newton starts from the prediction u1 + c (u1 - u0), c = (1/k -
     1/k1) / (1/k1 - 1/k0), linear in 1/k and 0.5 on a doubling schedule,
     if its k-energy is below u1's at one normalization, and from u1
-    otherwise.  Every k reads the grid's interior pattern and the frame's
-    Gauss-point metric, which their owners build on first use and keep.
-    The continuation stops once successive minimizers differ by less than
-    ``_CONTINUATION_TOL``.  With eps != 0 it solves the Jensen auxiliary
-    equation: eps > 0 targets the min form, eps < 0 the max form.  A
-    Newton failure propagates, tagged with its k.
+    otherwise.  It stops once successive minimizers differ by less than
+    ``_CONTINUATION_TOL``, or else once ``stop(k, u, report)`` is true,
+    called with the minimizer u and no Gauss values alive.  With eps != 0
+    it solves the Jensen auxiliary equation: eps > 0 targets the min form,
+    eps < 0 the max form.  A Newton failure propagates, tagged with its k.
     """
     if not spec.config.k_schedule:
         raise ValueError("empty k schedule")
@@ -662,11 +667,12 @@ def continue_k(spec: ProblemSpec,
         report.per_k.append(PkStats(
             k=k, start="secant" if model.secant else "warm", **vars(run),
             weak_residual=model.weak_residual(ev)))
+        del model, ev, predicted    # not alive through stop()
         if path:
             gap = float(np.max(np.abs(u - path[-1][1])))
             report.gaps.append(gap)
-            if gap < _CONTINUATION_TOL:
-                break
+        if path and gap < _CONTINUATION_TOL or stop and stop(k, u, report):
+            break
         path = path[-1:] + [(k, u)]
     report.wall_time = time.perf_counter() - t0
     return u, report
@@ -746,17 +752,26 @@ def solve_dirichlet_infinity(spec: ProblemSpec,
                              ) -> tuple[np.ndarray, SolveReport]:
     """Dirichlet solve of the problem ``spec`` poses, for any eps.
 
-    Runs the continuation.  At eps = 0 it then takes at most
-    ``polish_sweeps`` global Newton steps on the discrete residual; if
-    they do not reach a residual sup-norm below ``_POLISH_TOL``, the
-    continuation field is returned and the report names the rejection,
-    its steps and its worst node.  At eps != 0 the Jensen continuation
-    field is the result, unpolished.
+    At eps = 0, at most ``polish_sweeps`` Newton steps on the discrete
+    residual polish the first minimizer from k = ``_POLISH_FROM_K`` before
+    the last k; acceptance (below ``_POLISH_TOL``) ends the schedule.  Else
+    the last minimizer's polish decides, and a rejected one returns the
+    continuation field.  ``report.tries`` holds each polish's k and run.
+    At eps != 0 the Jensen continuation field is the result, unpolished.
     """
     t0 = time.perf_counter()
-    u, report = continue_k(spec, init=init)
-    if spec.epsilon == 0.0 and spec.config.polish_sweeps > 0:
-        u = _polish_newton(u, spec.frame, spec.p,
-                           spec.config.polish_sweeps, report)
+    sweeps = spec.config.polish_sweeps if spec.epsilon == 0.0 else 0
+    out = []            # the field each polish returns
+
+    def polish(k, u, report, final=False):  # no try after a rejected one
+        if final or (_POLISH_FROM_K <= k < spec.config.k_schedule[-1]
+                     and report.polish is None):
+            out.append(_polish_newton(u, spec.frame, spec.p, sweeps, report))
+            report.tries.append((k, report.polish))
+        return report.polish_accepted
+    u, report = continue_k(spec, init=init, stop=polish if sweeps else None)
+    if sweeps and not report.polish_accepted:
+        polish(report.per_k[-1].k, u, report, final=True)
+    u = out[-1] if out else u
     report.wall_time = time.perf_counter() - t0
     return u, report

@@ -2,6 +2,8 @@
 
 import gc
 import weakref
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from infxlap.grid import (build_grid, identity_frame, riemannian_gradient,
                           sample_frame)
 from infxlap.operators import max_form_residual
 from infxlap import cli, solvers, verify
+from infxlap.config import load_problem
 from infxlap.solvers import (_DETA, _DXI, FactorizationError, NewtonStall,
                              ProblemSpec, SolveReport, SolverConfig,
                              SolverError, _EnergyModel, _interp_gp,
@@ -18,9 +21,16 @@ from infxlap.solvers import (_DETA, _DXI, FactorizationError, NewtonStall,
                              continue_k, _polish_newton, harmonic_extension,
                              solve_dirichlet_infinity, solve_pk)
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def unit_grid(n=17):
     return build_grid(0.0, 1.0, 0.0, 1.0, n, n)
+
+
+def _config(path):
+    """The problem of a shipped config file, loaded when called."""
+    return lambda: load_problem(ROOT / path)
 
 
 def metric_pack(frame):
@@ -483,6 +493,30 @@ class TestContinuation:
         assert "k=2" in text and "wall_time" in text
         assert " iterations=" in text and "picard" not in text
 
+    def test_stop_sees_no_stage_values(self, monkeypatch):
+        # stop may run a polish: the paused stage loop keeps neither its
+        # model, nor its Gauss values, nor its prediction alive through it
+        refs, evaluate, start = [], _EnergyModel.evaluate, _EnergyModel.start
+
+        def evaluating(model, u):
+            ev = evaluate(model, u)
+            refs.append(weakref.ref(ev.n2))
+            return ev
+
+        def starting(model, u, predicted):
+            refs.append(weakref.ref(model))
+            if predicted is not None:
+                refs.append(weakref.ref(predicted))
+            return start(model, u, predicted)
+
+        monkeypatch.setattr(_EnergyModel, "evaluate", evaluating)
+        monkeypatch.setattr(_EnergyModel, "start", starting)
+        alive = []
+        _, report = continue_k(_varframe(17), stop=lambda k, u, report: (
+            alive.append((k, sum(ref() is not None for ref in refs)))))
+        assert alive == [(s.k, 0) for s in report.per_k]
+        assert len(refs) > 3 * len(report.per_k)
+
     def test_sup_extremal_improves_along_continuation(self):
         def sup_extremal(u, fr, p):
             """max over interior nodes of ||D_X u||^{p(x)}"""
@@ -532,6 +566,19 @@ class TestDirichletInfinity:
         assert report.polish_accepted is None
         assert "polish" not in report.format()
 
+    @pytest.mark.parametrize("problem", [
+        _config("configs/jensen_min.ini"),
+        lambda: replace(_varframe(17), config=SolverConfig(polish_sweeps=0))],
+        ids=["jensen_min", "no_sweeps"])
+    def test_unpolished_solves_match_continue_k(self, problem):
+        spec = problem()
+        u, report = solve_dirichlet_infinity(spec)
+        u_cont, report_cont = continue_k(spec)
+        assert np.array_equal(u, u_cont)
+        assert report.per_k == report_cont.per_k
+        assert report.gaps == report_cont.gaps
+        assert report.polish is None and report.tries == []
+
     def test_unit_plane_any_p(self):
         g = unit_grid(9)
         fr = identity_frame(g)
@@ -572,6 +619,33 @@ def _saddle():
                        f=X ** 2 - Y ** 2 + 0.3 * X * Y)
 
 
+def _rough():
+    """A rough full frame whose large-k minimizers are not resolved."""
+    g = build_grid(0.0, 1.0, 0.0, 1.3, 21, 17)
+    fr = sample_frame(parse("1 + x/3"), parse("0.3*y"), parse("-0.2*x"),
+                      parse("1 + y/2"), g)
+    X, Y = g.meshgrid()
+    return ProblemSpec(grid=g, frame=fr, p=2.0 + X ** 2,
+                       f=np.sin(2.0 * X) + Y)
+
+
+def _positive():
+    """The positive-boundary problem of the acceptance gate."""
+    g = unit_grid(65)
+    X, Y = g.meshgrid()
+    return ProblemSpec(grid=g, frame=identity_frame(g),
+                       p=g.sample(parse("2 + x^2/4")),
+                       f=1.5 + 0.25 * X + 0.25 * Y)
+
+
+def _nine():
+    """The 9^2 problem whose k = 32 and 64 stages stop at the floor."""
+    g = unit_grid(9)
+    X, Y = g.meshgrid()
+    return ProblemSpec(grid=g, frame=identity_frame(g),
+                       p=np.full(g.shape, 2.0), f=X ** 2 + Y)
+
+
 class TestPolish:
     def test_saddle_rejected_keeps_continuation_field(self):
         # the equation degenerates at the critical point of the saddle:
@@ -591,8 +665,9 @@ class TestPolish:
         assert "rejected" in report.format()
 
     def test_stalled_polish_reports_the_stall_run(self, monkeypatch):
-        # the saddle's polish stops at the step cap: its stop reason and
-        # counts are those NewtonStall carries
+        # the saddle's polish stops at the step cap twice, in the try from
+        # k = 8 and in the final polish from k = 64: each stop reason and
+        # its counts are those NewtonStall carries, and the last decides
         stalls, real = [], solvers._newton
 
         def recording(model, u, max_steps):
@@ -605,15 +680,72 @@ class TestPolish:
         monkeypatch.setattr(solvers, "_newton", recording)
         spec = _saddle()
         _, report = solve_dirichlet_infinity(spec)
-        (stall,) = stalls
-        assert stall.k is None and stall.reason == "step cap"
+        first, stall = stalls
+        for s in stalls:
+            assert s.k is None and s.reason == "step cap"
+            assert s.run.iterations == spec.config.polish_sweeps
+            assert s.run.factorizations > 0
+        assert [k for k, _ in report.tries] == [8.0, 64.0]
+        assert all(run is s.run for (_, run), s in zip(report.tries, stalls))
         assert report.polish is stall.run
         assert report.polish.stop == "step cap"
         assert report.polish.iterations == spec.config.polish_sweeps
         assert report.polish.factorizations > 0
-        line = report.format().splitlines()[-2]
+        lines = report.format().splitlines()
+        assert lines[-3] == (f"  polish from k=8: {first.run.format_counts()}"
+                             ": step cap (rejected)")
+        line = lines[-2]
+        assert line.startswith("  polish from k=64: residual sup ")
         assert f"{stall.run.format_counts()} " in line
         assert line.endswith(": step cap (rejected)")
+
+    @pytest.mark.parametrize("problem, tol", [
+        (_config("perfbench/configs/varframe-17-polish10.ini"), 1e-10),
+        (_config("configs/aronsson.ini"), 1e-10),
+        (_config("configs/variable_frame.ini"), 1e-10),
+        (_positive, 1e-10), (_nine, 1e-12)],
+        ids=["varframe17", "aronsson", "varframe65", "positive", "nine"])
+    def test_accepted_try_at_k8_returns_the_full_schedules_zero(self, problem,
+                                                                tol):
+        # the polish accepts the k = 8 minimizer, which ends the schedule,
+        # and lands on the zero the polish of the whole continuation finds
+        spec = problem()
+        full, _ = continue_k(spec)
+        ref = SolveReport()
+        want = _polish_newton(full, spec.frame, spec.p,
+                              spec.config.polish_sweeps, ref)
+        u, report = solve_dirichlet_infinity(spec)
+        assert ref.polish_accepted and report.polish_accepted
+        assert np.max(np.abs(u - want)) <= tol
+        assert [s.k for s in report.per_k] == [2.0, 4.0, 8.0]
+        assert all(s.stop == "update below tolerance" for s in report.per_k)
+        assert report.tries == [(8.0, report.polish)]
+        line = report.format().splitlines()[-2]
+        assert line.startswith("  polish from k=8: residual sup ")
+        assert line.endswith(": converged (accepted)")
+
+    @pytest.mark.parametrize("problem, ks", [
+        (_saddle, [8.0, 64.0]), (_rough, [8.0, 64.0]),
+        (lambda: replace(_saddle(), config=SolverConfig((2.0, 4.0, 8.0))),
+         [8.0])], ids=["saddle", "rough", "saddle_to_k8"])
+    def test_rejected_try_falls_back_to_the_full_continuation(self, problem,
+                                                              ks):
+        # the try at k = 8 is rejected; the schedule runs to its end and
+        # the rejected polish of its last minimizer returns that field.  A
+        # schedule that ends at k = 8 polishes its last minimizer once
+        spec = problem()
+        u, report = solve_dirichlet_infinity(spec)
+        u_cont, report_cont = continue_k(spec)
+        assert np.array_equal(u, u_cont)
+        assert report.per_k == report_cont.per_k
+        assert report.gaps == report_cont.gaps
+        assert [k for k, _ in report.tries] == ks
+        assert not any(run.stop == "converged" for _, run in report.tries)
+        assert report.polish is report.tries[-1][1]
+        lines = report.format().splitlines()[-1 - len(ks):-1]
+        assert [ln.split(":")[0] for ln in lines] == [
+            f"  polish from k={k:g}" for k in ks]
+        assert all(ln.endswith(" (rejected)") for ln in lines)
 
     def test_converged_polish_reported(self):
         spec = _varframe()
