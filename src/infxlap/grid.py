@@ -158,6 +158,12 @@ class FrameField:
         return _jacobian_blocks(self)
 
     @cached_property
+    def jacobian_band(self):
+        """:func:`infxlap.solvers._jacobian_band`, kept with the frame."""
+        from .solvers import _jacobian_band
+        return _jacobian_band(self)
+
+    @cached_property
     def gauss_metric(self):
         """:func:`infxlap.solvers._frame_tensor`, kept with the frame."""
         from .solvers import _frame_tensor

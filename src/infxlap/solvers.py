@@ -15,15 +15,19 @@ coefficients interpolated from the nodes), once per iterate.  Its Hessian
 is symmetric positive definite, reproduces linear fields exactly, and (for
 the unit frame at kp = 2) annihilates the harmonic polynomial x^2 - y^2
 exactly.  One Newton routine runs both stages, the continuation and the
-polish; from k = 8 an accepted polish ends the schedule.  The Hessian's
-equilibrated interior block is factored by LAPACK's band Cholesky where
-the grid's short interior side has at most ``_BAND_MAX`` nodes, numbered
-along that side; there the band's dense kernels beat SuperLU's per-column
-work.  On wider grids SuperLU factors it in nested-dissection order, whose
+polish; from k = 8 an accepted polish ends the schedule.  One band rule
+picks the factorization of both stages.  Where the grid's short interior
+side m has at most ``_BAND_MAX`` nodes, the unknowns are numbered along it
+and LAPACK factors a band: the equilibrated Hessian's (half-width m + 1) by
+Cholesky, the polish Jacobian's (kl = ku = 2m) by pivoted LU.  The band's
+dense kernels beat SuperLU's per-column work: on 2 cores the Jacobian's LU
+takes 0.11 against 0.67 ms at 17^2 and 8.5 against 16.0 ms at 65^2, and a
+solve 0.010 against 0.018 ms at 17^2 but 0.85 against 0.40 ms at 65^2.  On
+wider grids SuperLU factors the Hessian in nested-dissection order, whose
 fill grows more slowly (George & Liu, *Computer Solution of Large Sparse
-Positive Definite Systems*, 1981, chs. 4 and 8).  SuperLU factors the
-Jacobian in minimum degree.  Later steps reuse the factors (chord steps)
-or, off the band, precondition GMRES with them.
+Positive Definite Systems*, 1981, chs. 4 and 8), and the Jacobian in
+minimum degree.  Later steps reuse the factors (chord steps) or
+precondition GMRES with them, the Hessian's only off the band.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .grid import FrameField, Grid2D
@@ -242,6 +246,12 @@ def _nested_dissection(mj: int, mi: int) -> np.ndarray:
     return order(mj, mi)
 
 
+def _band_slots(r, c, top: int, rows: int) -> np.ndarray:
+    """Slots of entries (r, c) in LAPACK band storage, column-major with
+    ``rows`` rows: entry (r, c) at row top + r - c of column c."""
+    return top + r - c + c * rows
+
+
 class _InteriorPattern:
     """Interior block of the bilinear stiffness matrix on a fixed CSC pattern.
 
@@ -285,11 +295,10 @@ class _InteriorPattern:
         self.indptr = np.searchsorted(self.col, range(n + 1)).astype(np.intc)
         self.diag = np.searchsorted(keys, np.arange(n) * (n + 1))
         if self.kd is not None:
-            # LAPACK lower band storage, column-major (kd + 1, n): entry
-            # (r, c), r >= c, at row r - c of column c
+            # LAPACK lower band storage, kd + 1 rows: r >= c at row r - c
             self.lower = np.flatnonzero(self.indices >= self.col)
-            r, c = self.indices[self.lower], self.col[self.lower]
-            self.band = r - c + c * (self.kd + 1)
+            self.band = _band_slots(self.indices[self.lower],
+                                    self.col[self.lower], 0, self.kd + 1)
         # element matrices ke = cq.reshape(ncell, 12) @ basis: ke[c, (a, b)]
         # = sum_q detj grad N_a . C(q) grad N_b, cq[c, q] = (C11, C12, C22)
         bx = self.bx = _DXI * (2.0 / grid.hx)                # (4gp, 4nodes)
@@ -687,6 +696,21 @@ def solve_pk(spec: ProblemSpec, k: float,
     return u, report.per_k[0]
 
 
+def _jacobian_band(frame: FrameField):
+    """None where the Hessian is no band, else the polish Jacobian's band
+    in the Hessian's numbering: kl = ku = 2m, the slot in ``dgbtrf``'s
+    storage of each entry of ``frame.jacobian_blocks``' CSC pattern, each
+    row-major unknown's band position and each band position's unknown."""
+    kl = 2 * (min(frame.grid.shape) - 2)
+    if kl > 2 * _BAND_MAX:
+        return None
+    _, rows, indptr = frame.jacobian_blocks
+    pos = np.argsort(frame.grid.interior_pattern.interior)
+    slots = _band_slots(pos[rows], np.repeat(pos, np.diff(indptr)), 2 * kl,
+                        3 * kl + 1)
+    return kl, slots, pos, np.argsort(pos)
+
+
 class _PolishModel:
     """The discrete infinity(x)-equation r(u) = 0 as a model for
     :func:`_newton`.  The merit is ||r||_2, whose slope along the Newton
@@ -700,6 +724,7 @@ class _PolishModel:
     def __init__(self, frame: FrameField, p: np.ndarray):
         self.kernel = ResidualKernel(frame, p)
         self.interior = np.flatnonzero(frame.grid.interior_mask())
+        self.band = frame.jacobian_band
 
     def evaluate(self, u: np.ndarray) -> State:
         return self.State(u, self.kernel.jets(u)[0].ravel())
@@ -720,11 +745,24 @@ class _PolishModel:
         return self.kernel.jacobian(state.u)
 
     def factor(self, state: State, run: NewtonRun | None = None):
-        # a minimum-degree order on J + J^t with a weak pivot threshold
-        # has ~40 % less fill than COLAMD and factors twice as fast
-        lu = splu(self.kernel.jacobian(state.u), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.01)
-        return lambda r, at: -lu.solve(r)
+        jac = self.kernel.jacobian(state.u)
+        if self.band is None:
+            # minimum degree on J + J^t with a weak pivot threshold: ~40 %
+            # less fill than COLAMD off the band, and twice as fast
+            lu = splu(jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01)
+            return lambda r, at: -lu.solve(r)
+        # the Hessian's band rule: dgbtrf takes 0.11 against SuperLU's
+        # 0.67 ms at 17^2, 8.5 against 16.0 ms at 65^2 (2 cores)
+        kl, slots, pos, inv = self.band
+        ab = np.zeros((3 * kl + 1) * len(pos))
+        ab[slots] = jac.data
+        lu, piv, info = dgbtrf(ab.reshape(3 * kl + 1, -1, order="F"), kl, kl,
+                               overwrite_ab=1)
+        if info > 0:    # U(info, info) = 0: name that column's node
+            j, i = divmod(inv[info - 1], self.kernel.frame.grid.nx - 2)
+            raise RuntimeError(f"band LU met a zero pivot at node "
+                               f"(i={i + 1}, j={j + 1})")
+        return lambda r, at: -dgbtrs(lu, kl, kl, r[inv], piv)[0][pos]
 
 
 def _polish_newton(u0: np.ndarray, frame: FrameField, p: np.ndarray,

@@ -1,12 +1,14 @@
 """Harmonic extension, Newton iteration, and continuation tests."""
 
 import gc
+import re
 import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from infxlap.expressions import parse
 from infxlap.grid import (build_grid, identity_frame, riemannian_gradient,
@@ -619,9 +621,9 @@ def _saddle():
                        f=X ** 2 - Y ** 2 + 0.3 * X * Y)
 
 
-def _rough():
+def _rough(nx=21, ny=17):
     """A rough full frame whose large-k minimizers are not resolved."""
-    g = build_grid(0.0, 1.0, 0.0, 1.3, 21, 17)
+    g = build_grid(0.0, 1.0, 0.0, 1.3, nx, ny)
     fr = sample_frame(parse("1 + x/3"), parse("0.3*y"), parse("-0.2*x"),
                       parse("1 + y/2"), g)
     X, Y = g.meshgrid()
@@ -644,6 +646,41 @@ def _nine():
     X, Y = g.meshgrid()
     return ProblemSpec(grid=g, frame=identity_frame(g),
                        p=np.full(g.shape, 2.0), f=X ** 2 + Y)
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """The LU factorizations made while the test runs, one entry each:
+    the permc_spec of a call through ``solvers.splu``, or "band" for one
+    through ``solvers.dgbtrf``."""
+    calls, real_lu, real_band = [], solvers.splu, solvers.dgbtrf
+
+    def counting_lu(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return real_lu(*args, **kwargs)
+
+    def counting_band(*args, **kwargs):
+        calls.append("band")
+        return real_band(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "splu", counting_lu)
+    monkeypatch.setattr(solvers, "dgbtrf", counting_band)
+    return calls
+
+
+def _band_then_wide(band_limit):
+    """For each grid built in the loop's body: up to the band limit (the
+    polish Jacobian factored by band LU), then beyond it (by SuperLU);
+    yields the name of the Jacobian's lu_calls entry."""
+    for limit, jacobian in ((solvers._BAND_MAX, "band"),
+                            (-1, "MMD_AT_PLUS_A")):
+        band_limit(limit)
+        yield jacobian
+
+
+def _second_pivot_zero(ab, kl, ku, **kwargs):
+    """A ``dgbtrf`` that finds U(2, 2) exactly zero."""
+    return ab, np.arange(1, ab.shape[1] + 1, dtype=np.intc), 2
 
 
 class TestPolish:
@@ -758,42 +795,43 @@ class TestPolish:
         assert report.polish_final < solvers._POLISH_TOL
         assert "accepted" in report.format()
 
-    def test_polish_reuses_jacobian_factors(self, monkeypatch):
+    def test_polish_reuses_jacobian_factors(self, lu_calls, band_limit):
         # chord steps: the polish factors its Jacobian less often than it
-        # steps (it factored once per step before the factors were reused)
-        calls = []
-        real = solvers.splu
+        # steps (it factored once per step before the factors were reused),
+        # by band LU and by SuperLU
+        for jacobian in _band_then_wide(band_limit):
+            lu_calls.clear()
+            spec = _varframe()
+            _, report = solve_dirichlet_infinity(spec)
+            assert report.polish_accepted is True
+            run = report.polish
+            assert lu_calls.count(jacobian) == run.factorizations
+            assert (lu_calls.count("band") + lu_calls.count("MMD_AT_PLUS_A")
+                    == run.factorizations)
+            assert 0 < run.factorizations < run.iterations
+            assert (f"iterations={run.iterations:<4d} "
+                    f"factorizations={run.factorizations:<4d} "
+                    in report.format().splitlines()[-2])
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("permc_spec"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(solvers, "splu", counting)
-        spec = _varframe()
-        _, report = solve_dirichlet_infinity(spec)
-        assert report.polish_accepted is True
-        run = report.polish
-        assert calls.count("MMD_AT_PLUS_A") == run.factorizations
-        assert 0 < run.factorizations < run.iterations
-        assert (f"iterations={run.iterations:<4d} "
-                f"factorizations={run.factorizations:<4d} "
-                in report.format().splitlines()[-2])
-
-    def test_every_factorization_is_in_the_record(self, monkeypatch,
-                                                  factor_calls):
+    def test_every_factorization_is_in_the_record(self, lu_calls,
+                                                  factor_calls, band_limit):
         # the harmonic start factors once; every other factorization is one
-        # some Newton run reports, and every splu call the polish's or a
-        # counted Cholesky breakdown
-        calls, real = [], solvers.splu
-        monkeypatch.setattr(solvers, "splu",
-                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        _, report = solve_dirichlet_infinity(_varframe(17))
-        assert report.polish_accepted is True
-        factored = sum(s.factorizations for s in report.per_k)
-        fallbacks = sum(s.superlu_fallbacks for s in report.per_k)
-        assert len(factor_calls) == 1 + factored
-        assert len(calls) == report.polish.factorizations + fallbacks
-        assert len(calls) > 0
+        # some Newton run reports.  Every LU is the polish's Jacobian's, a
+        # Hessian's off the band or a counted Cholesky breakdown on it
+        for jacobian in _band_then_wide(band_limit):
+            lu_calls.clear()
+            factor_calls.clear()
+            _, report = solve_dirichlet_infinity(_varframe(17))
+            assert report.polish_accepted is True
+            factored = sum(s.factorizations for s in report.per_k)
+            fallbacks = sum(s.superlu_fallbacks for s in report.per_k)
+            band = jacobian == "band"
+            assert factor_calls == [band] * (1 + factored)
+            hessians = fallbacks if band else 1 + factored
+            assert lu_calls.count("NATURAL") == hessians
+            assert lu_calls.count(jacobian) == report.polish.factorizations
+            assert len(lu_calls) == report.polish.factorizations + hessians
+            assert report.polish.factorizations > 0
 
     def test_gmres_saves_jacobian_factorizations(self, monkeypatch):
         # at 65^2 the polish's chord steps fail where it factored its
@@ -861,19 +899,75 @@ class TestPolish:
         assert all(report.polish_accepted for report in reports)
         assert np.max(np.abs(out[0] - out[1])) <= 1e-9
 
-    def test_failed_factorization_returns_start(self, monkeypatch):
-        spec = _varframe()
-        u0 = harmonic_extension(spec.grid, spec.frame, spec.f)
-
+    def test_failed_factorization_returns_start(self, monkeypatch,
+                                                band_limit):
+        # both factorizations fail: the band LU meets a zero pivot at its
+        # second unknown, node (2, 1) in the numbering along x; SuperLU
+        # finds the Jacobian singular
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
-        monkeypatch.setattr(solvers, "splu", singular)
-        report = SolveReport()
-        u = _polish_newton(u0, spec.frame, spec.p, 20, report)
-        assert u is u0 and report.polish_accepted is False
-        assert report.polish_final == report.polish_initial
-        assert report.polish.history == []
-        assert report.polish.stop.startswith("factorization failed")
+
+        for jacobian in _band_then_wide(band_limit):
+            spec = _varframe()
+            u0 = harmonic_extension(spec.grid, spec.frame, spec.f)
+            report = SolveReport()
+            with monkeypatch.context() as broken:
+                broken.setattr(solvers, "splu", singular)
+                broken.setattr(solvers, "dgbtrf", _second_pivot_zero)
+                u = _polish_newton(u0, spec.frame, spec.p, 20, report)
+            assert u is u0 and report.polish_accepted is False
+            assert report.polish_final == report.polish_initial
+            assert report.polish.history == []
+            assert report.polish.stop.startswith("factorization failed")
+            assert report.polish.stop.endswith(
+                "zero pivot at node (i=2, j=1)" if jacobian == "band"
+                else "exactly singular")
+
+    @pytest.mark.parametrize("problem", [
+        lambda: _varframe(17), _rough, lambda: _rough(17, 21)],
+        ids=["varframe17", "rough21x17", "rough17x21"])
+    def test_band_lu_direction_agrees_with_superlu(self, problem):
+        # numbered along the short side m, the Jacobian at the k = 8
+        # minimizer is a band of kl = ku = 2m; its LU gives SuperLU's
+        # Newton direction, in the polish's row-major order
+        spec = problem()
+        ny, nx = spec.grid.shape
+        u, _ = continue_k(replace(spec, config=SolverConfig((2.0, 4.0, 8.0))))
+        model = solvers._PolishModel(spec.frame, spec.p)
+        state = model.evaluate(u)
+        kl, _, pos, _ = model.band
+        jac = model.operator(state).tocoo()
+        offsets = pos[jac.row] - pos[jac.col]
+        assert kl == 2 * (min(nx, ny) - 2) == np.max(offsets) == -np.min(
+            offsets)
+        assert np.array_equal(pos, np.arange(len(pos))) == (nx <= ny)
+        d = model.factor(state)(state.r, state)
+        want = -splu(jac.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.01).solve(state.r)
+        assert np.linalg.norm(d - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("problem, node", [
+        (lambda: _varframe(17), "(i=2, j=1)"), (_rough, "(i=1, j=2)"),
+        (lambda: _rough(17, 21), "(i=2, j=1)")],
+        ids=["varframe17", "rough21x17", "rough17x21"])
+    def test_zero_band_pivot_names_its_node(self, monkeypatch, problem,
+                                            node):
+        # a constant field zeroes the whole Jacobian: dgbtrf stops at the
+        # first unknown, node (1, 1).  A zero pivot at the second is the
+        # next node along the short side, x on a tall grid, y on a wide one
+        spec = problem()
+        model = solvers._PolishModel(spec.frame, spec.p)
+        state = model.evaluate(np.ones(spec.grid.shape))
+        assert model.operator(state).count_nonzero() == 0
+        with pytest.raises(FactorizationError) as exc:
+            solvers._factor(model, state)
+        assert exc.value.k is None
+        assert str(exc.value).endswith(
+            "Jacobian: band LU met a zero pivot at node (i=1, j=1)")
+        monkeypatch.setattr(solvers, "dgbtrf", _second_pivot_zero)
+        with pytest.raises(FactorizationError,
+                           match=f"at node {re.escape(node)}$"):
+            solvers._factor(model, model.evaluate(spec.f))
 
     def test_second_order_on_aronsson(self):
         # the discrete zero converges at h^2, below the continuation's
