@@ -124,17 +124,23 @@ class ResidualKernel:
         return g1, g2, h11, h12, h22, n2, dot, log_n
 
     def jets(self, u: np.ndarray):
-        """Interior residual and the two components of D_X u there."""
-        g1, g2, h11, h12, h22, n2, dot, log_n = self._parts(u)
+        """Interior residual and the jet it reads, :meth:`_parts` of u."""
+        parts = g1, g2, h11, h12, h22, n2, dot, log_n = self._parts(u)
         quad = h11 * g1 * g1 + 2.0 * h12 * g1 * g2 + h22 * g2 * g2
-        return -(quad + n2 * dot * log_n), g1, g2
+        return -(quad + n2 * dot * log_n), parts
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         """The residual field, boundary entries 0."""
         return np.pad(self.jets(u)[0], 1)
 
-    def jacobian(self, u: np.ndarray) -> sp.csc_matrix:
-        """d r / d u on interior rows and columns (row-major node order).
+    def jacobian(self, u: np.ndarray, parts=None) -> sp.csc_matrix:
+        """d r / d u on interior nodes (row-major), at the jet parts or u's."""
+        _, rows, indptr = self.frame.jacobian_blocks
+        return sp.csc_matrix((self.jacobian_data(parts or self._parts(u)),
+                              rows, indptr), shape=(len(indptr) - 1,) * 2)
+
+    def jacobian_data(self, parts) -> np.ndarray:
+        """The CSC data of :meth:`jacobian` at the jet ``parts``.
 
         D_X u = (G1 u, G2 u) and the Hessian is H11 = G1 G1,
         H12 = (G1 G2 + G2 G1)/2, H22 = G2 G2 applied to u, so dr/du is
@@ -142,8 +148,8 @@ class ResidualKernel:
         bracket of r in g_a at fixed H.  The five blocks depend only on the
         frame and live as long as it does (``FrameField.jacobian_blocks``).
         """
-        m, rows, indptr = self.frame.jacobian_blocks
-        g1, g2, h11, h12, h22, n2, dot, log_n = self._parts(u)
+        m, rows, _ = self.frame.jacobian_blocks
+        g1, g2, h11, h12, h22, n2, dot, log_n = parts
         # d(||g||^2 dot ln||g||)/d g_a = (2 dot ln||g|| + dot) g_a
         # + ||g||^2 lnp_a ln||g||, the middle term absent below the floor
         s = 2.0 * dot * log_n + np.where(n2 > DELTA_LOG ** 2, dot, 0.0)
@@ -151,8 +157,7 @@ class ResidualKernel:
              for ha, hb, ga, la in ((h11, h12, g1, self._lnp[0]),
                                     (h12, h22, g2, self._lnp[1]))]
         w = np.stack([g1 * g1, 2.0 * g1 * g2, g2 * g2, c[0], c[1]], axis=-1)
-        data = -np.einsum("ij,ij->i", m, np.take(w.reshape(-1, 5), rows, 0))
-        return sp.csc_matrix((data, rows, indptr), shape=(g1.size,) * 2)
+        return -np.einsum("ij,ij->i", m, np.take(w.reshape(-1, 5), rows, 0))
 
 
 def _jacobian_blocks(frame: FrameField):
@@ -194,7 +199,7 @@ def min_form_residual(u: np.ndarray, frame: FrameField, p: np.ndarray,
     """min{ ||D_X u||^2 - eps, -Delta_{X,infinity(x)} u } (interior)."""
     if eps <= 0:
         raise ValueError("min form needs eps > 0")
-    r, g1, g2 = ResidualKernel(frame, p).jets(u)
+    r, (g1, g2, *_) = ResidualKernel(frame, p).jets(u)
     return np.pad(np.minimum(g1 * g1 + g2 * g2 - eps, r), 1)
 
 
@@ -203,6 +208,6 @@ def max_form_residual(u: np.ndarray, frame: FrameField, p: np.ndarray,
     """max{ eps - ||D_X u||^2, -Delta_{X,infinity(x)} u } (interior)."""
     if eps <= 0:
         raise ValueError("max form needs eps > 0 (the magnitude of the parameter)")
-    r, g1, g2 = ResidualKernel(frame, p).jets(u)
+    r, (g1, g2, *_) = ResidualKernel(frame, p).jets(u)
     return np.pad(np.maximum(eps - (g1 * g1 + g2 * g2), r), 1)
 

@@ -21,13 +21,14 @@ side m has at most ``_BAND_MAX`` nodes, the unknowns are numbered along it
 and LAPACK factors a band: the equilibrated Hessian's (half-width m + 1) by
 Cholesky, the polish Jacobian's (kl = ku = 2m) by pivoted LU.  The band's
 dense kernels beat SuperLU's per-column work: on 2 cores the Jacobian's LU
-takes 0.11 against 0.67 ms at 17^2 and 8.5 against 16.0 ms at 65^2, and a
-solve 0.010 against 0.018 ms at 17^2 but 0.85 against 0.40 ms at 65^2.  On
-wider grids SuperLU factors the Hessian in nested-dissection order, whose
-fill grows more slowly (George & Liu, *Computer Solution of Large Sparse
-Positive Definite Systems*, 1981, chs. 4 and 8), and the Jacobian in
-minimum degree.  Later steps reuse the factors (chord steps) or
-precondition GMRES with them, the Hessian's only off the band.
+(its values read from the iterate's jet) takes 0.15 against 0.8 ms at 17^2
+and 9-11 against 15 ms at 65^2, and a solve 0.011 against 0.018 ms at 17^2
+but 0.64 against 0.40-0.65 ms at 65^2.  On wider grids SuperLU factors the
+Hessian in nested-dissection order, whose fill grows more slowly (George &
+Liu, *Computer Solution of Large Sparse Positive Definite Systems*, 1981,
+chs. 4 and 8), and the Jacobian in minimum degree.  Later steps reuse the
+factors (chord steps) or precondition GMRES with them, the Hessian's only
+off the band.
 """
 
 from __future__ import annotations
@@ -409,7 +410,7 @@ class _EnergyModel:
               + 2.0 * t12 * gx * gy + t22 * gy * gy)
         ln_n2 = np.log(n2)
         logm = self.half_kpm2 * ln_n2
-        return _GaussValues(u, n2, ln_n2, logm, float(np.max(logm)),
+        return _GaussValues(u, n2, ln_n2, logm, float(logm.max()),
                             t11 * gx + t12 * gy, t12 * gx + t22 * gy)
 
     def load(self, logs: float) -> np.ndarray | float:
@@ -425,11 +426,11 @@ class _EnergyModel:
                               f" at k={self.k:g}, node (i={i}, j={j})")
         return np.exp(logmag).ravel() * self.area
 
+    @np.errstate(over="ignore")
     def energy(self, ev: _GaussValues, logs: float) -> float:
         """Scaled energy; +inf on overflow (rejected by the line search)."""
-        with np.errstate(over="ignore"):
-            dens = np.exp(self.half_kp * ev.ln_n2 - self.ln_kpq - logs)
-        return self.detj * float(np.sum(dens)) - (
+        dens = np.exp(self.half_kp * ev.ln_n2 - self.ln_kpq - logs)
+        return self.detj * float(dens.sum()) - (
             float(self.load(logs) @ ev.u.ravel()) if self.eps else 0.0)
 
     def start(self, u: np.ndarray, predicted: np.ndarray | None):
@@ -522,6 +523,7 @@ _CHORD_CONTRACTION = 0.1  # largest chord step over the last update
 _KRYLOV_FORCING = 1e-4    # ||pre(linear residual)||_2 over ||pre(-g)||_2
 _KRYLOV_MAX_ITER = 10     # Krylov iterations before the stage refactors
 _NEWTON_MAX_ITER = 500
+_ROUNDING = 16.0 * np.finfo(float).eps    # merit rounding over |merit|
 
 
 def _factor(model, state, run: NewtonRun | None = None):
@@ -538,12 +540,12 @@ def _krylov(op, b, x, pre):
     """One GMRES cycle (Saad-Schultz, SIAM J. Sci. Stat. Comput. 7 (1986)
     856-869) on op d = b from x = pre(b), preconditioned by pre: d, whether
     ||pre(b - op d)||_2 <= forcing ||pre(b)||_2 by the cap, steps."""
-    steps, scale = [], np.linalg.norm(x)
+    steps, scale = [], math.sqrt(x @ x)
     x, info = gmres(op, b, x, rtol=_KRYLOV_FORCING, maxiter=1,
                     restart=_KRYLOV_MAX_ITER, callback=steps.append,
                     M=LinearOperator(op.shape, pre, dtype=float),
                     callback_type="pr_norm")
-    return x, info == 0 or steps[-1] * np.linalg.norm(b) <= (
+    return x, info == 0 or steps[-1] * math.sqrt(b @ b) <= (
         _KRYLOV_FORCING * scale), len(steps)
 
 
@@ -566,7 +568,7 @@ def _newton(model, state, max_steps: int):
     ``model.converged`` once ``model.solved(state, last update)``, else at
     "rounding floor"; a stall carries the run so far.
     """
-    run, factors, full = NewtonRun(), None, False
+    run, factors, full = NewtonRun(stop=model.converged), None, False
     stale, update, history = False, math.inf, run.history
     while not model.solved(state, update):
         if len(history) >= max_steps:
@@ -575,10 +577,10 @@ def _newton(model, state, max_steps: int):
         phi0 = model.merit(state, state)
         # at the floor the line search cannot tell a step from rounding in
         # the merit: take the full step, and stop there after a fresh one
-        rounding = 16.0 * np.finfo(float).eps * max(abs(phi0), 1e-300)
+        rounding = _ROUNDING * max(abs(phi0), 1e-300)
         d, met = factors(g, state) if full else None, True
         if d is not None:
-            slope, size = model.slope(g, d), float(np.max(np.abs(d)))
+            slope, size = model.slope(g, d), float(abs(d).max())
             if slope < 0.0 and (not stale or -slope <= rounding) and (
                     size <= _CHORD_CONTRACTION * history[-1]):
                 run.chord_steps += 1
@@ -601,8 +603,8 @@ def _newton(model, state, max_steps: int):
         floor = -slope <= rounding
         # keep the first trial step commensurate with the data scale; the
         # full Newton step is always tried once |d| is moderate
-        step_cap = 10.0 * max(1.0, float(np.ptp(state.u)))
-        dmax = float(np.max(np.abs(d)))
+        step_cap = 10.0 * max(1.0, float(state.u.max() - state.u.min()))
+        dmax = float(abs(d).max())
         alpha = 1.0 if floor or dmax == 0 else min(1.0, step_cap / dmax)
         for _ in range(60):
             u_try = state.u.copy()
@@ -618,8 +620,9 @@ def _newton(model, state, max_steps: int):
         state, full = trial, alpha == 1.0 and met
         update = alpha * dmax if met else math.inf
         if floor and fresh and not model.solved(state, update):
-            return state, replace(run, stop="rounding floor")
-    return state, replace(run, stop=model.converged)
+            run.stop = "rounding floor"
+            break
+    return state, run
 
 
 def harmonic_extension(grid: Grid2D, frame: FrameField,
@@ -719,7 +722,8 @@ class _PolishModel:
 
     k, stage = None, "infinity(x)-equation Jacobian"
     converged = "converged"
-    State = namedtuple("State", "u r")      # r: interior, row-major
+    # r: interior, row-major; jet: the kernel's parts, read by the Jacobian
+    State = namedtuple("State", "u r jet")
 
     def __init__(self, frame: FrameField, p: np.ndarray):
         self.kernel = ResidualKernel(frame, p)
@@ -727,35 +731,36 @@ class _PolishModel:
         self.band = frame.jacobian_band
 
     def evaluate(self, u: np.ndarray) -> State:
-        return self.State(u, self.kernel.jets(u)[0].ravel())
+        r, jet = self.kernel.jets(u)
+        return self.State(u, r.ravel(), jet)
 
     def residual(self, state: State) -> np.ndarray:
         return state.r
 
     def merit(self, state: State, ref: State) -> float:
-        return float(np.linalg.norm(state.r))
+        return math.sqrt(state.r @ state.r)
 
     def slope(self, r: np.ndarray, d: np.ndarray) -> float:
-        return -float(np.linalg.norm(r))
+        return -math.sqrt(r @ r)
 
     def solved(self, state: State, update: float) -> bool:
-        return float(np.max(np.abs(state.r))) < _POLISH_TOL
+        return float(abs(state.r).max()) < _POLISH_TOL
 
     def operator(self, state: State):
-        return self.kernel.jacobian(state.u)
+        return self.kernel.jacobian(state.u, state.jet)
 
     def factor(self, state: State, run: NewtonRun | None = None):
-        jac = self.kernel.jacobian(state.u)
         if self.band is None:
             # minimum degree on J + J^t with a weak pivot threshold: ~40 %
             # less fill than COLAMD off the band, and twice as fast
-            lu = splu(jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01)
+            lu = splu(self.operator(state), permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0.01)
             return lambda r, at: -lu.solve(r)
-        # the Hessian's band rule: dgbtrf takes 0.11 against SuperLU's
-        # 0.67 ms at 17^2, 8.5 against 16.0 ms at 65^2 (2 cores)
+        # the Hessian's band rule: values, scatter and dgbtrf take 0.15 ms
+        # against CSC and SuperLU's 0.8 at 17^2, 9-11 against 15 at 65^2
         kl, slots, pos, inv = self.band
         ab = np.zeros((3 * kl + 1) * len(pos))
-        ab[slots] = jac.data
+        ab[slots] = self.kernel.jacobian_data(state.jet)
         lu, piv, info = dgbtrf(ab.reshape(3 * kl + 1, -1, order="F"), kl, kl,
                                overwrite_ab=1)
         if info > 0:    # U(info, info) = 0: name that column's node

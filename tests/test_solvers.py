@@ -13,7 +13,7 @@ from scipy.sparse.linalg import splu
 from infxlap.expressions import parse
 from infxlap.grid import (build_grid, identity_frame, riemannian_gradient,
                           sample_frame)
-from infxlap.operators import max_form_residual
+from infxlap.operators import ResidualKernel, max_form_residual
 from infxlap import cli, solvers, verify
 from infxlap.config import load_problem
 from infxlap.solvers import (_DETA, _DXI, FactorizationError, NewtonStall,
@@ -363,6 +363,19 @@ class TestSolvePk:
         for _ in range(10):
             pert = u + 0.1 * float(rng.uniform(0.5, 1.5)) * bump
             assert e_sol <= energy(pert)
+
+    def test_overflowing_energy_is_infinite_and_silent(self):
+        # a steep trial at a flat iterate's normalization overflows the
+        # Gauss-point density: the merit is +inf, with no overflow warning
+        # (warnings are errors here), so Armijo rejects the trial
+        spec = _varframe(17)
+        model = _EnergyModel(spec, 64.0)
+        flat = model.evaluate(np.ones(spec.grid.shape))
+        trial = model.evaluate(spec.f)
+        phi0 = model.merit(flat, flat)
+        assert np.isfinite(phi0) and np.isfinite(model.merit(trial, trial))
+        assert model.merit(trial, flat) == np.inf
+        assert not model.merit(trial, flat) <= phi0
 
     def test_stall_reported_with_history(self, monkeypatch):
         g = unit_grid(9)
@@ -945,6 +958,57 @@ class TestPolish:
         want = -splu(jac.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.01).solve(state.r)
         assert np.linalg.norm(d - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_polish_evaluates_each_iterate_once(self, monkeypatch,
+                                                band_limit):
+        # factor and operator build the Jacobian from the jet of the
+        # iterate's evaluation: each evaluation computes one jet and nothing
+        # else does, on the band and off it.  The band LU's storage holds
+        # the kernel's Jacobian values bit for bit
+        calls, factored, stored = [], [], []
+        parts, evaluate = ResidualKernel._parts, solvers._PolishModel.evaluate
+        factor, dgbtrf = solvers._PolishModel.factor, solvers.dgbtrf
+
+        def jet(kernel, u):
+            calls.append("jet")
+            return parts(kernel, u)
+
+        def evaluating(model, u):
+            calls.append("evaluate")
+            return evaluate(model, u)
+
+        def factoring(model, state, run=None):
+            factored.append((model, state.u.copy()))
+            return factor(model, state, run)
+
+        def band_lu(ab, *args, **kwargs):
+            stored.append(ab.ravel(order="F").copy())
+            return dgbtrf(ab, *args, **kwargs)
+
+        monkeypatch.setattr(ResidualKernel, "_parts", jet)
+        monkeypatch.setattr(solvers._PolishModel, "evaluate", evaluating)
+        monkeypatch.setattr(solvers._PolishModel, "factor", factoring)
+        monkeypatch.setattr(solvers, "dgbtrf", band_lu)
+        for jacobian in _band_then_wide(band_limit):
+            # the k = 8 minimizer's polish factors once and solves by GMRES
+            spec = _varframe(17)
+            u0, _ = continue_k(replace(spec, config=SolverConfig((2.0, 4.0,
+                                                                  8.0))))
+            for log in (calls, factored, stored):
+                log.clear()
+            report = SolveReport()
+            _polish_newton(u0, spec.frame, spec.p, 20, report)
+            run = report.polish
+            assert report.polish_accepted
+            assert run.factorizations > 0 and run.krylov_solves > 0
+            evaluations = calls.count("evaluate")
+            assert evaluations >= 1 + run.iterations
+            assert calls == ["evaluate", "jet"] * evaluations
+            assert len(factored) == run.factorizations
+            assert len(stored) == (len(factored) if jacobian == "band" else 0)
+            for (model, u), ab in zip(factored, stored):
+                want = ResidualKernel(spec.frame, spec.p).jacobian(u).data
+                assert np.array_equal(ab[model.band[1]], want)
 
     @pytest.mark.parametrize("problem, node", [
         (lambda: _varframe(17), "(i=2, j=1)"), (_rough, "(i=1, j=2)"),
