@@ -241,23 +241,16 @@ def riemannian_gradient(u: np.ndarray, frame: FrameField) -> np.ndarray:
 def symmetrized_hessian(u: np.ndarray, frame: FrameField) -> np.ndarray:
     """Symmetrized frame Hessian, stored as (M11, M12, M22), shape (ny, nx, 3).
 
-    Computes X_i(X_j u) by applying the discrete frame gradient to each
-    component of D_X u (nested first-derivative stencils; the cross term
-    is the standard 4-point stencil on the differentiated field), then
-    averages M and M^t.  Only interior values are meaningful; boundary
-    rows hold the same nested-stencil values for completeness.
+    X_a(g_b) is ``frame.jet_operator`` G applied to each component g_b of
+    D_X u = G u, and M12 averages X_1 g_2 and X_2 g_1: on the interior this
+    is the Hessian of :class:`infxlap.operators.ResidualKernel` bit for bit.
+    Only interior values are meaningful; boundary rows hold the one-sided
+    stencils' values for completeness.
     """
-    g = riemannian_gradient(u, frame)
-    out = np.empty(frame.grid.shape + (3,))
-    m = np.empty(frame.grid.shape + (2, 2))
-    for jcomp in range(2):
-        dg = euclidean_gradient(g[..., jcomp], frame.grid)
-        # m[..., i, jcomp] = X_i(g_jcomp) = sum_k a_ik d_k g_jcomp
-        m[..., :, jcomp] = np.einsum("...ik,...k->...i", frame.a, dg)
-    out[..., 0] = m[..., 0, 0]
-    out[..., 1] = 0.5 * (m[..., 0, 1] + m[..., 1, 0])
-    out[..., 2] = m[..., 1, 1]
-    return out
+    g, shape = frame.jet_operator, (2,) + frame.grid.shape
+    (h11, h21), (h12, h22) = ((g @ c.ravel()).reshape(shape) for c in
+                              (g @ np.ravel(u)).reshape(shape))
+    return np.stack([h11, 0.5 * (h12 + h21), h22], axis=-1)
 
 
 def _distance_graph(frame: FrameField):

@@ -99,8 +99,8 @@ class ResidualKernel:
     """-Delta_{X,infinity(x)} u on interior nodes for one (frame, p).
 
     D_X u = G u with G = ``frame.jet_operator``, and the Hessian X_a(g_b) is
-    G applied to g_b, read at the interior nodes and symmetrized: the nested
-    stencil of :func:`infxlap.grid.symmetrized_hessian` up to rounding.  The
+    G applied to g_b, read at the interior nodes and symmetrized: the
+    interior of :func:`infxlap.grid.symmetrized_hessian` bit for bit.  The
     logarithm is regularized as ln(max(||D_X u||, DELTA_LOG)).
     """
 

@@ -516,7 +516,6 @@ class _EnergyModel:
 
 
 _NEWTON_TOL = 1e-8        # sup-norm update that ends a k stage
-_CONTINUATION_TOL = 1e-4  # sup-norm gap between successive k that ends it
 _POLISH_TOL = 1e-9        # interior residual sup-norm that ends the polish
 _POLISH_FROM_K = 8.0      # smallest k whose minimizer the polish tries
 _CHORD_CONTRACTION = 0.1  # largest chord step over the last update
@@ -633,11 +632,10 @@ def harmonic_extension(grid: Grid2D, frame: FrameField,
     interior zeroed (only the boundary of f need be finite) minimizes it.
     It reads the grid's pattern and the frame's Gauss-point metric.
     """
-    if grid != frame.grid:
-        raise ValueError(f"grid {grid} is not the frame's grid {frame.grid}")
-    u = np.where(grid.interior_mask(), 0.0, np.asarray(f, dtype=float))
-    model = _EnergyModel(ProblemSpec(grid=grid, frame=frame, f=u,
-                                     p=np.full(grid.shape, 2.0)), 1.0)
+    spec = ProblemSpec(grid=grid, frame=frame, f=np.asarray(f, dtype=float),
+                       p=np.full(grid.shape, 2.0))
+    u = np.where(spec.grid.interior_mask(), 0.0, spec.f)
+    model = _EnergyModel(spec, 1.0)
     ev = model.evaluate(u)
     u.ravel()[model.interior] += _factor(model, ev)(model.residual(ev), ev)
     return u
@@ -654,9 +652,9 @@ def continue_k(spec: ProblemSpec, init: np.ndarray | None = None, *,
     k1, Newton starts from the prediction u1 + c (u1 - u0), c = (1/k -
     1/k1) / (1/k1 - 1/k0), linear in 1/k and 0.5 on a doubling schedule,
     if its k-energy is below u1's at one normalization, and from u1
-    otherwise.  It stops once successive minimizers differ by less than
-    ``_CONTINUATION_TOL``, or else once ``stop(k, u, report)`` is true,
-    called with the minimizer u and no Gauss values alive.  With eps != 0
+    otherwise.  It runs to the schedule's end unless ``stop(k, u, report)``
+    is true first, called with the minimizer u and no Gauss values alive;
+    ``report.gaps`` holds the sup changes between minimizers.  With eps != 0
     it solves the Jensen auxiliary equation: eps > 0 targets the min form,
     eps < 0 the max form.  A Newton failure propagates, tagged with its k.
     """
@@ -681,9 +679,8 @@ def continue_k(spec: ProblemSpec, init: np.ndarray | None = None, *,
             weak_residual=model.weak_residual(ev)))
         del model, ev, predicted    # not alive through stop()
         if path:
-            gap = float(np.max(np.abs(u - path[-1][1])))
-            report.gaps.append(gap)
-        if path and gap < _CONTINUATION_TOL or stop and stop(k, u, report):
+            report.gaps.append(float(np.max(np.abs(u - path[-1][1]))))
+        if stop and stop(k, u, report):
             break
         path = path[-1:] + [(k, u)]
     report.wall_time = time.perf_counter() - t0
@@ -777,10 +774,11 @@ def _polish_newton(u0: np.ndarray, frame: FrameField, p: np.ndarray,
     on a stop (step cap, failed line search or factorization) ``u0`` comes
     back.  ``report`` gets the run, both residual sups and the worst node."""
     model = _PolishModel(frame, p)
-    start = model.evaluate(u0)
-    report.polish_initial = float(np.max(np.abs(start.r)))
+    start = [model.evaluate(u0)]
+    report.polish_initial = float(np.max(np.abs(start[0].r)))
     try:
-        state, report.polish = _newton(model, start, sweeps)
+        # popped: (CPython 3.11+) Newton's first step frees the start's jet
+        state, report.polish = _newton(model, start.pop(), sweeps)
     except NewtonStall as exc:
         state, report.polish = model.evaluate(exc.u), exc.run
     jj, ii = np.unravel_index(np.argmax(np.abs(state.r)),
@@ -795,26 +793,24 @@ def solve_dirichlet_infinity(spec: ProblemSpec,
                              ) -> tuple[np.ndarray, SolveReport]:
     """Dirichlet solve of the problem ``spec`` poses, for any eps.
 
-    At eps = 0, at most ``polish_sweeps`` Newton steps on the discrete
-    residual polish the first minimizer from k = ``_POLISH_FROM_K`` before
-    the last k; acceptance (below ``_POLISH_TOL``) ends the schedule.  Else
-    the last minimizer's polish decides, and a rejected one returns the
-    continuation field.  ``report.tries`` holds each polish's k and run.
-    At eps != 0 the Jensen continuation field is the result, unpolished.
+    At eps = 0, ``continue_k``'s hook runs at most ``polish_sweeps`` Newton
+    steps on the discrete residual from the first minimizer with k >=
+    ``_POLISH_FROM_K`` and from the last; acceptance (below ``_POLISH_TOL``)
+    ends the schedule, and a rejected final polish returns the continuation
+    field.  ``report.tries`` holds each polish's k and run.  At eps != 0
+    the Jensen continuation field is the result, unpolished.
     """
     t0 = time.perf_counter()
     sweeps = spec.config.polish_sweeps if spec.epsilon == 0.0 else 0
     out = []            # the field each polish returns
 
-    def polish(k, u, report, final=False):  # no try after a rejected one
-        if final or (_POLISH_FROM_K <= k < spec.config.k_schedule[-1]
-                     and report.polish is None):
+    def polish(k, u, report):
+        if k == spec.config.k_schedule[-1] or (k >= _POLISH_FROM_K
+                                               and not report.tries):
             out.append(_polish_newton(u, spec.frame, spec.p, sweeps, report))
             report.tries.append((k, report.polish))
         return report.polish_accepted
     u, report = continue_k(spec, init=init, stop=polish if sweeps else None)
-    if sweeps and not report.polish_accepted:
-        polish(report.per_k[-1].k, u, report, final=True)
     u = out[-1] if out else u
     report.wall_time = time.perf_counter() - t0
     return u, report

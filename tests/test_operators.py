@@ -165,9 +165,8 @@ def _variable_problem(nx=13, ny=11):
 
 
 def _stencil_parts(frame, p, u):
-    """The kernel's interior jet parts from nested ``_d_axis`` stencils,
-    written out as :func:`infxlap.grid.symmetrized_hessian` nests them: the
-    reference for the sparse products."""
+    """The kernel's interior jet parts from nested ``_d_axis`` stencils and
+    pointwise frame products: the reference for the sparse products."""
     grid = frame.grid
     a11, a12, a21, a22 = (frame.a[..., i, k] for i in (0, 1) for k in (0, 1))
     ux = _d_axis(u, grid.hx, axis=1)
@@ -254,6 +253,16 @@ class TestResidualKernel:
         jac = kernel.jacobian(u)
         assert jac.nnz == ref.nnz
         assert (abs(jac - ref).max() <= 1e-13 * abs(ref).max())
+
+    def test_symmetrized_hessian_is_the_kernels_bit_for_bit(self):
+        # both apply frame.jet_operator to the components of G u, on a full
+        # frame and a grid with hx != hy and nx != ny
+        g, fr, p, u = _variable_problem()
+        assert g.nx != g.ny
+        h = symmetrized_hessian(u, fr)[1:-1, 1:-1]
+        _, _, h11, h12, h22, *_ = ResidualKernel(fr, p)._parts(u)
+        for k, want in enumerate((h11, h12, h22)):
+            assert np.array_equal(h[..., k], want), k
 
     @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diag"])
     def test_sparse_jet_matches_stencil_reference(self, diagonal):

@@ -2,6 +2,7 @@
 
 import gc
 import re
+import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -485,6 +486,9 @@ class TestContinuation:
         u, report = continue_k(spec)
         assert np.max(np.abs(u - 1.0)) < 1e-12
         assert all(gap < 1e-12 for gap in report.gaps)
+        # zero gaps end nothing: every k of the schedule runs
+        assert [s.k for s in report.per_k] == list(spec.config.k_schedule)
+        assert len(report.per_k) == 6 and len(report.gaps) == 5
 
     def test_empty_schedule_rejected(self):
         g = unit_grid(9)
@@ -777,12 +781,15 @@ class TestPolish:
     @pytest.mark.parametrize("problem, ks", [
         (_saddle, [8.0, 64.0]), (_rough, [8.0, 64.0]),
         (lambda: replace(_saddle(), config=SolverConfig((2.0, 4.0, 8.0))),
-         [8.0])], ids=["saddle", "rough", "saddle_to_k8"])
+         [8.0]),
+        (lambda: replace(_saddle(), config=SolverConfig((2.0, 4.0))),
+         [4.0])], ids=["saddle", "rough", "saddle_to_k8", "saddle_to_k4"])
     def test_rejected_try_falls_back_to_the_full_continuation(self, problem,
                                                               ks):
         # the try at k = 8 is rejected; the schedule runs to its end and
         # the rejected polish of its last minimizer returns that field.  A
-        # schedule that ends at k = 8 polishes its last minimizer once
+        # schedule that ends at k = 8, or below it, polishes its last
+        # minimizer once
         spec = problem()
         u, report = solve_dirichlet_infinity(spec)
         u_cont, report_cont = continue_k(spec)
@@ -796,6 +803,21 @@ class TestPolish:
         assert [ln.split(":")[0] for ln in lines] == [
             f"  polish from k={k:g}" for k in ks]
         assert all(ln.endswith(" (rejected)") for ln in lines)
+
+    def test_affine_data_polishes_from_k8(self):
+        # p = 2 on the unit frame: an affine field is every kp-minimizer,
+        # so successive minimizers agree, and the residual is zero already.
+        # The schedule runs on to k = 8, whose try accepts with no step
+        g = unit_grid(9)
+        X, Y = g.meshgrid()
+        spec = ProblemSpec(grid=g, frame=identity_frame(g),
+                           p=np.full(g.shape, 2.0), f=1.0 + X / 4.0 + Y / 2.0)
+        u, report = solve_dirichlet_infinity(spec)
+        assert report.tries == [(8.0, report.polish)]
+        assert report.polish_accepted is True
+        assert report.polish.iterations == 0
+        assert [s.k for s in report.per_k] == [2.0, 4.0, 8.0]
+        assert np.max(np.abs(u - spec.f)) < 1e-12
 
     def test_converged_polish_reported(self):
         spec = _varframe()
@@ -899,6 +921,32 @@ class TestPolish:
         assert report.polish.krylov_solves > 0
         assert report.polish.factorizations > 1
         assert alive == [0] * report.polish.factorizations
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 "
+                        "keeps call arguments on the caller's stack")
+    def test_start_jet_freed_after_the_first_step(self, monkeypatch):
+        # the polish hands its start to Newton with no name holding it, so
+        # while a trial is evaluated only the iterate's jet is alive, not
+        # also the start's
+        jets, alive = [], []
+        evaluate = solvers._PolishModel.evaluate
+
+        def recording(model, u):
+            alive.append([i for i, ref in enumerate(jets)
+                          if ref() is not None])
+            state = evaluate(model, u)
+            jets.append(weakref.ref(state.jet[-1]))
+            return state
+
+        monkeypatch.setattr(solvers._PolishModel, "evaluate", recording)
+        spec = _varframe(33)
+        u0, _ = continue_k(replace(spec, config=SolverConfig((2.0, 4.0,
+                                                               8.0))))
+        report = SolveReport()
+        _polish_newton(u0, spec.frame, spec.p, 20, report)
+        assert report.polish_accepted and report.polish.iterations > 2
+        assert len(alive) == 1 + report.polish.iterations
+        assert alive == [[]] + [[i] for i in range(len(alive) - 1)]
 
     def test_start_independent(self):
         # Newton from the harmonic extension alone and from the
