@@ -128,7 +128,7 @@ def _verify_harnack(spec) -> verify.CheckReport:
         ci = int(rng.integers(grid.nx // 4, 3 * grid.nx // 4))
         cj = int(rng.integers(grid.ny // 4, 3 * grid.ny // 4))
         r = float(rng.uniform(0.05, 0.12)) * extent
-        dist = riemannian_distance(spec.frame, grid, (ci, cj))
+        dist = riemannian_distance(spec.frame, grid, (ci, cj), limit=2.0 * r)
         try:
             c = verify.harnack_constant(u, grid, dist, r)
         except ValueError:

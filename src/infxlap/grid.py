@@ -290,8 +290,8 @@ def _distance_graph(frame: FrameField):
                           cols.reshape(8, n).T.ravel(), indptr), (n, n))
 
 
-def riemannian_distance(frame: FrameField, grid: Grid2D,
-                        source) -> np.ndarray:
+def riemannian_distance(frame: FrameField, grid: Grid2D, source,
+                        limit: float = np.inf) -> np.ndarray:
     """Shortest-path frame distances from one or many source nodes.
 
     ``source`` is one ``(i, j)`` pair or an ``(m, 2)`` array of pairs;
@@ -306,7 +306,9 @@ def riemannian_distance(frame: FrameField, grid: Grid2D,
     with its int32 indices).  A frame whose edge midpoint is singular
     raises :class:`FrameSingular` on every call.  One directed
     ``scipy.sparse.csgraph.dijkstra`` call solves every source and
-    returns m*n doubles.
+    returns m*n doubles.  A finite ``limit`` ends each search there: the
+    distances up to it are the unbounded search's bit for bit, farther
+    nodes hold the sentinel 1e300, and a NaN or negative limit raises.
     """
     # imported here so that runs which never ask for a distance do not
     # load scipy's csgraph module
@@ -314,6 +316,8 @@ def riemannian_distance(frame: FrameField, grid: Grid2D,
 
     if grid != frame.grid:
         raise ValueError(f"grid {grid} is not the frame's grid {frame.grid}")
+    if not limit >= 0.0:
+        raise ValueError(f"distance limit must be >= 0, got {limit}")
     ny, nx = grid.shape
     src = np.asarray(source, dtype=float)
     if src.shape[-1:] != (2,):
@@ -328,9 +332,9 @@ def riemannian_distance(frame: FrameField, grid: Grid2D,
 
     ij = pairs.astype(np.intp)
     dist = dijkstra(frame.distance_graph, directed=True,
-                    indices=ij[:, 1] * nx + ij[:, 0])
+                    indices=ij[:, 1] * nx + ij[:, 0], limit=limit)
     dist = dist.reshape(src.shape[:-1] + grid.shape)
-    # rectangles are connected; keep a finite sentinel regardless
+    # rectangles are connected, so only a limit leaves nodes unreached
     dist[~np.isfinite(dist)] = 1e300
     return dist
 

@@ -47,16 +47,30 @@ def lipschitz_constant(f: np.ndarray, grid: Grid2D,
     """Largest boundary difference quotient |f(x)-f(y)| / d(x, y).
 
     The sources are boundary nodes, subsampled evenly to at most 64;
-    all boundary nodes remain targets.  One multi-source Dijkstra call
-    gives every source's distance field.
+    all boundary nodes remain targets, and a non-finite value there
+    raises ``ValueError``.  Sources of spread max_y |f(x) - f(y)| > 0 run
+    by descending spread in four multi-source Dijkstra calls; a later one
+    stops at its largest spread over the best quotient so far, as farther
+    pairs quotient below that best: the result is the unbounded one.
     """
     tj, ti = np.argwhere(grid.boundary_mask()).T
+    fb = f[tj, ti]
+    if not np.all(np.isfinite(fb)):
+        k = np.argmin(np.isfinite(fb))
+        raise ValueError(f"boundary value f = {fb[k]} at node "
+                         f"(i={ti[k]}, j={tj[k]}) is not finite")
     stride = -(-len(ti) // 64)  # ceiling: at most 64 sources
-    sj, si = tj[::stride], ti[::stride]
-    d = riemannian_distance(frame, grid, np.column_stack([si, sj]))[:, tj, ti]
-    df = np.abs(f[tj, ti] - f[sj, si][:, None])
-    sel = d > 0
-    return float(np.max(df[sel] / d[sel])) if np.any(sel) else 0.0
+    si, sj, df = ti[::stride], tj[::stride], np.abs(fb - fb[::stride, None])
+    spread = df.max(axis=1)
+    order = np.argsort(-spread, kind="stable")
+    best, limit = 0.0, np.inf
+    for batch in filter(len, np.array_split(order[spread[order] > 0], 4)):
+        if best > 0.0:  # the slack covers the rounding of the quotients
+            limit = spread[batch[0]] / best * (1.0 + 1e-12)
+        d = riemannian_distance(frame, grid, np.column_stack(
+            [si[batch], sj[batch]]), limit=limit)[:, tj, ti]
+        best = max(best, float(np.max(df[batch][d > 0] / d[d > 0])))
+    return best
 
 
 def check_comparison(u: np.ndarray, v: np.ndarray, grid: Grid2D,
@@ -80,7 +94,8 @@ def harnack_constant(u: np.ndarray, grid: Grid2D, dist: np.ndarray,
                      r: float) -> float:
     """sup_{B_r} u / (inf_{B_r} u + r) on Riemannian balls.
 
-    ``dist`` is the distance field from the ball center.  Requires u > 0
+    ``dist`` is the distance field from the ball center; it need only be
+    exact up to 2r, and larger at nodes beyond.  Requires u > 0
     on B_2r and B_2r strictly inside the domain (no boundary node within
     distance 2r).
     """

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from infxlap import cli
 from infxlap import config as cfgio
 from infxlap.cli import main
-from infxlap.grid import build_grid
+from infxlap.grid import build_grid, riemannian_distance
 from infxlap.operators import max_form_residual
 
 BASE = """\
@@ -409,6 +410,27 @@ class TestCliVerify:
     def test_harnack_passes_on_positive_data(self, tmp_path):
         cfg = write_config(tmp_path, n=17, f="1 + x/4 + y/4")
         assert main(["verify", "--config", cfg, "--suite", "harnack"]) == 0
+
+    # at frame scale 3, some drawn balls of radius 2r reach the boundary
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_harnack_report_is_the_unbounded_searchs(self, tmp_path,
+                                                      monkeypatch, scale):
+        # harnack_constant reads dist only up to 2r, so each ball's search
+        # stops there; searching the whole grid gives the same report
+        cfg = Path(write_config(tmp_path, n=17, f="1 + x/4 + y/4"))
+        text = cfg.read_text().replace("a11 = 1", f"a11 = {scale}")
+        cfg.write_text(text.replace("a22 = 1", f"a22 = {scale}"))
+        spec = cfgio.load_problem(str(cfg))
+        limits = []
+
+        def unbounded(frame, grid, source, limit=np.inf):
+            limits.append(limit)
+            return riemannian_distance(frame, grid, source)
+
+        bounded = cli._verify_harnack(spec).format()
+        monkeypatch.setattr(cli, "riemannian_distance", unbounded)
+        assert cli._verify_harnack(spec).format() == bounded
+        assert limits and all(np.isfinite(limits))
 
     def test_harnack_inapplicable_when_no_ball_fits(self, tmp_path, capsys,
                                                     graph_builds):

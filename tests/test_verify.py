@@ -69,6 +69,44 @@ def test_distances_match_heapq_oracle(sources):
                                atol=0.0)
 
 
+@pytest.mark.parametrize("problem", ["varframe", "full"])
+@pytest.mark.parametrize("sources", [(4, 11),
+                                     [(0, 0), (20, 16), (10, 8), (3, 15)]])
+def test_limited_distances_are_the_unlimited_within_the_limit(problem,
+                                                              sources):
+    g, fr, _ = _lipschitz_problem(problem)
+    full = riemannian_distance(fr, g, sources)
+    # a limit the search reaches exactly at one node at least
+    limit = float(np.sort(full, axis=None)[full.size // 2])
+    d = riemannian_distance(fr, g, sources, limit=limit)
+    near = full <= limit
+    assert np.array_equal(d[near], full[near])
+    assert np.any(~near) and np.all(d[~near] == 1e300)
+
+
+@pytest.mark.parametrize("limit", [np.nan, -1.0])
+def test_nan_or_negative_limit_raises(limit):
+    g, fr, _ = _lipschitz_problem("full")
+    with pytest.raises(ValueError, match=f"limit must be >= 0, got {limit}"):
+        riemannian_distance(fr, g, (4, 11), limit=limit)
+
+
+def _per_source_lipschitz(g, fr, f, max_sources=64):
+    """The largest quotient over every source and boundary target, each
+    source searched alone and unbounded, and the distance of its pair."""
+    nodes = [(int(i), int(j)) for j, i in np.argwhere(g.boundary_mask())]
+    stride = -(-len(nodes) // max_sources)
+    ref, far = 0.0, None
+    for si, sj in nodes[::stride]:
+        dist = riemannian_distance(fr, g, (si, sj))
+        for ti, tj in nodes:
+            if dist[tj, ti] > 0:
+                q = abs(f[tj, ti] - f[sj, si]) / dist[tj, ti]
+                if q > ref:
+                    ref, far = q, dist[tj, ti]
+    return ref, far
+
+
 class TestLipschitz:
     def test_graph_built_once(self, graph_builds):
         g, fr, f = _lipschitz_problem("varframe")
@@ -102,9 +140,9 @@ class TestLipschitz:
         # 124 boundary nodes at 32^2: a floor stride of 1 would source all
         rows = []
 
-        def counting(frame, grid, source):
+        def counting(frame, grid, source, limit=np.inf):
             rows.extend(map(tuple, np.reshape(source, (-1, 2)).tolist()))
-            return riemannian_distance(frame, grid, source)
+            return riemannian_distance(frame, grid, source, limit=limit)
 
         monkeypatch.setattr(verify, "riemannian_distance", counting)
         g = unit_grid(32)
@@ -118,15 +156,78 @@ class TestLipschitz:
                              [("varframe", 64), ("full", 64)])
     def test_matches_per_source_loop(self, problem, max_sources):
         g, fr, f = _lipschitz_problem(problem)
-        nodes = [(int(i), int(j)) for j, i in np.argwhere(g.boundary_mask())]
-        stride = -(-len(nodes) // max_sources)
-        ref = 0.0
-        for si, sj in nodes[::stride]:
-            dist = riemannian_distance(fr, g, (si, sj))
-            for ti, tj in nodes:
-                if dist[tj, ti] > 0:
-                    ref = max(ref, abs(f[tj, ti] - f[sj, si]) / dist[tj, ti])
+        ref, _ = _per_source_lipschitz(g, fr, f, max_sources)
         assert lipschitz_constant(f, g, fr) == ref
+
+    @pytest.mark.parametrize("problem", ["varframe", "full"])
+    @pytest.mark.parametrize("data", ["noise", "smooth"])
+    def test_matches_per_source_loop_on_random_data(self, problem, data):
+        g, fr, _ = _lipschitz_problem(problem)
+        rng = np.random.default_rng(30)
+        if data == "noise":
+            f = rng.uniform(-1.0, 1.0, size=g.shape)
+        else:
+            X, Y = g.meshgrid()
+            c = rng.normal(size=(3, 4))
+            f = sum(c[0, k] * np.sin(c[1, k] * X + c[2, k] * Y + k)
+                    for k in range(4))
+        assert lipschitz_constant(f, g, fr) == _per_source_lipschitz(g, fr,
+                                                                     f)[0]
+
+    def test_matches_per_source_loop_on_a_far_pair(self):
+        # f is the boundary arc length from (1/2, 0), up to 2 at (1/2, 1):
+        # along the boundary it climbs at most 1.5 per unit of frame
+        # distance (up the side x = 1), while the pair straight across the
+        # square quotients 2 / d((1/2, 0), (1/2, 1)) = 2 / 0.8 = 2.5
+        g, fr, _ = _lipschitz_problem("varframe")
+        X, Y = g.meshgrid()
+        f = np.where(Y == 1.0, 2.0 - np.abs(X - 0.5), np.abs(X - 0.5) + Y)
+        ref, far = _per_source_lipschitz(g, fr, f)
+        assert ref == pytest.approx(2.5, rel=0.05)
+        assert far > 0.6 * np.max(riemannian_distance(fr, g, (0, 0)))
+        assert lipschitz_constant(f, g, fr) == ref
+
+    def test_later_batches_stop_at_spread_over_best_so_far(self,
+                                                           monkeypatch):
+        calls = []
+
+        def recording(frame, grid, source, limit=np.inf):
+            d = riemannian_distance(frame, grid, source, limit=limit)
+            calls.append((np.reshape(source, (-1, 2)), limit, d))
+            return d
+
+        monkeypatch.setattr(verify, "riemannian_distance", recording)
+        g, fr, f = _lipschitz_problem("varframe")
+        lipschitz_constant(f, g, fr)
+        bnd = g.boundary_mask()
+        diameter = np.max(riemannian_distance(fr, g, (0, 0)))
+        assert len(calls) == 4 and calls[0][1] == np.inf
+        best = 0.0
+        for src, limit, d in calls:
+            fs = f[src[:, 1], src[:, 0]]
+            spread = np.max(np.abs(f[bnd] - fs[:, None]))
+            if best > 0.0:
+                # a pair farther than spread / best quotients below best
+                assert spread / best <= limit < diameter
+            db = d[:, bnd]
+            best = max(best, np.max(np.abs(f[bnd] - fs[:, None])[db > 0] /
+                                    db[db > 0]))
+
+    def test_constant_data_makes_no_distance_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify, "riemannian_distance",
+                            lambda *args, **kwargs: calls.append(args))
+        g, fr, _ = _lipschitz_problem("varframe")
+        assert lipschitz_constant(np.full(g.shape, -2.0), g, fr) == 0.0
+        assert calls == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_boundary_value_named(self, value):
+        g, fr, f = _lipschitz_problem("varframe")
+        f[0, 3] = f[20, 0] = value
+        with pytest.raises(ValueError, match=r"node \(i=3, j=0\) is not "
+                                             r"finite"):
+            lipschitz_constant(f, g, fr)
 
     def test_distances_come_through_the_module_seam(self, monkeypatch):
         # the benchmark times and perturbs distances by wrapping
@@ -134,7 +235,8 @@ class TestLipschitz:
         g, fr, f = _lipschitz_problem("varframe")
         base = lipschitz_constant(f, g, fr)
         monkeypatch.setattr(verify, "riemannian_distance",
-                            lambda *args: 1.01 * riemannian_distance(*args))
+                            lambda *args, **kwargs:
+                            1.01 * riemannian_distance(*args, **kwargs))
         assert lipschitz_constant(f, g, fr) == pytest.approx(base / 1.01,
                                                              rel=1e-14)
 
